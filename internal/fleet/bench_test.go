@@ -10,7 +10,7 @@ import (
 )
 
 // BenchmarkFleetTick measures the steady-state session tick: one slot
-// report through the partition event loop and Algorithm 3, no
+// report through the session's stripe lock and Algorithm 3, no
 // checkpoint on either side. This is the per-device per-τ cost the
 // fleet layer buys versus the stateless /v1/replan round-trip.
 func BenchmarkFleetTick(b *testing.B) {
@@ -31,7 +31,7 @@ func BenchmarkFleetTick(b *testing.B) {
 }
 
 // BenchmarkFleetTickParallel measures aggregate throughput with many
-// devices ticking concurrently across partitions.
+// devices ticking concurrently across stripes.
 func BenchmarkFleetTickParallel(b *testing.B) {
 	ctx := context.Background()
 	m := newTestManager(b, Config{})

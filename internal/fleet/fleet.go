@@ -7,17 +7,24 @@
 // optional checkpoint) and thereafter streams lightweight telemetry
 // ticks, getting delta replans back with no checkpoint on the wire.
 //
-// Session state is sharded across goroutine-owned partitions routed
-// by FNV-1a hash on the device id (mirroring plancache.Sharded's
-// routing). Each partition is a single-writer event loop: every
-// operation on a session executes inside its partition's goroutine,
-// so sessions need no per-session locks and a tick is a channel
-// round-trip plus a few hundred nanoseconds of Algorithm 3. Idle
+// Sessions live in a lock-striped table (internal/stripe): power-of-
+// two stripes, each a mutex and the sessions whose device id hashes
+// to it by FNV-1a. Register, Tick, Observe and Charge run inline in
+// the caller's goroutine under the device's stripe lock, so a tick is
+// an uncontended lock plus a few hundred nanoseconds of Algorithm 3.
+// Drain, the idle sweep and Close lock one stripe at a time. Idle
 // sessions are evicted on a TTL with their checkpoint parked for
 // handback — a re-register resumes exactly where the evicted session
-// stopped — and Drain removes every live session at once, returning
-// each final checkpoint exactly once. Close stops the partition
-// goroutines for shutdown.
+// stopped — and Drain removes every session at once, returning each
+// final checkpoint exactly once. The only goroutine is the idle
+// sweeper, and only when IdleTTL is set.
+//
+// Lock order: ingest stripe → fleet stripe → the server's ingest
+// registration mutex. A fleet stripe lock is otherwise a leaf: this
+// package takes no other lock while holding one and never calls out
+// under it, and nothing may take these locks in the other direction.
+// The telemetry flush holds an ingest stripe while it calls Observe,
+// Charge and Register.
 //
 // Semantics are pinned to the stateless path: a session fed N slot
 // reports yields byte-identical replan output to N /v1/replan calls
@@ -40,6 +47,7 @@ import (
 	"dpm/internal/params"
 	"dpm/internal/pipeline"
 	"dpm/internal/scenario"
+	"dpm/internal/stripe"
 	"dpm/internal/trace"
 )
 
@@ -68,21 +76,19 @@ func (e *BadCheckpointError) Error() string {
 }
 func (e *BadCheckpointError) Unwrap() error { return e.Err }
 
-// MaxPartitions caps the partition count, mirroring
-// plancache.MaxShards.
+// MaxPartitions caps the stripe count, mirroring plancache.MaxShards.
 const MaxPartitions = 256
 
-// DefaultPartitions mirrors plancache.DefaultShards: one partition
-// per runnable goroutine removes cross-device contention; the cap
-// keeps the fan-in manageable on large hosts. Session routing stays
-// stable only within one process lifetime, so the count is free to
-// vary with GOMAXPROCS.
-func DefaultPartitions() int { return defaultPow2Capped(16) }
+// DefaultPartitions mirrors plancache.DefaultShards: one stripe per
+// runnable goroutine keeps concurrent ticks on different devices off
+// each other's locks. Session routing stays stable only within one
+// process lifetime, so the count is free to vary with GOMAXPROCS.
+func DefaultPartitions() int { return min(stripe.RoundUp(runtime.GOMAXPROCS(0)), 16) }
 
 // Config tunes one fleet manager.
 type Config struct {
-	// Partitions is the number of session partitions, rounded up to a
-	// power of two. 0 means DefaultPartitions().
+	// Partitions is the number of session-table stripes, rounded up to
+	// a power of two. 0 means DefaultPartitions().
 	Partitions int
 	// MaxSessions caps live sessions across all partitions; a register
 	// beyond the cap (for a device with no existing session) fails
@@ -91,28 +97,15 @@ type Config struct {
 	// IdleTTL evicts sessions untouched for this long, parking their
 	// checkpoints for handback on re-register. 0 disables eviction.
 	IdleTTL time.Duration
-	// ParkedCapacity bounds parked (evicted) checkpoints per
-	// partition; the oldest parked entry is dropped when full.
-	// 0 means 1024 per partition.
+	// ParkedCapacity bounds parked (evicted) checkpoints across the
+	// table, split evenly over the stripes; a stripe's oldest parked
+	// entry is dropped when its share is full. 0 means 1024.
 	ParkedCapacity int
-	// SweepInterval is how often each partition scans for idle
-	// sessions; 0 means max(IdleTTL/4, 1s). Ignored when IdleTTL is 0.
+	// SweepInterval is how often the sweeper scans for idle sessions;
+	// 0 means max(IdleTTL/4, 1s). Ignored when IdleTTL is 0.
 	SweepInterval time.Duration
 	// Now overrides the clock (tests); nil means time.Now.
 	Now func() time.Time
-}
-
-// defaultPow2Capped returns GOMAXPROCS rounded up to a power of two,
-// capped.
-func defaultPow2Capped(max int) int {
-	n := 1
-	for n < runtime.GOMAXPROCS(0) {
-		n <<= 1
-	}
-	if n > max {
-		n = max
-	}
-	return n
 }
 
 // counters is the manager's monotonic activity record (atomics; read
@@ -143,43 +136,31 @@ type Stats struct {
 	Evictions, ParkedDrops, Drains, DrainedSessions uint64
 }
 
-// PartitionStats is one partition's gauges.
+// PartitionStats is one stripe's gauges.
 type PartitionStats struct {
-	// Sessions and Parked are the partition's current session and
+	// Sessions and Parked are the stripe's current session and
 	// parked-checkpoint counts.
 	Sessions, Parked int
-	// Depth is the number of commands queued for the partition's
-	// event loop right now.
-	Depth int
 }
-
-// lifecycle states.
-const (
-	lifeIdle = iota
-	lifeRunning
-	lifeClosed
-)
 
 // Manager owns the fleet's live sessions.
 type Manager struct {
-	cfg   Config
-	parts []*partition
-	mask  uint64
-	now   func() time.Time
+	cfg Config
+	tab *stripe.Table[partition]
+	now func() time.Time
 
-	live atomic.Int64
-	ctr  counters
+	live, parked atomic.Int64
+	ctr          counters
+	closed       atomic.Bool
 
-	mu   sync.Mutex // guards life
-	life int
-
-	stop   chan struct{}
-	closed atomic.Bool
+	// stop and sweeper run the idle sweeper; stop is nil, and no
+	// goroutine exists, when IdleTTL is 0.
+	stop    chan struct{}
+	sweeper sync.WaitGroup
 }
 
-// New validates the configuration and returns a manager. Partition
-// goroutines start lazily on first use, so an unused fleet layer
-// costs nothing.
+// New validates the configuration and returns a manager. It starts a
+// goroutine only for the idle sweep, and only when IdleTTL is set.
 func New(cfg Config) (*Manager, error) {
 	if cfg.Partitions < 0 || cfg.Partitions > MaxPartitions {
 		return nil, fmt.Errorf("fleet: partition count %d outside [0, %d]", cfg.Partitions, MaxPartitions)
@@ -187,11 +168,7 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.Partitions == 0 {
 		cfg.Partitions = DefaultPartitions()
 	}
-	n := 1
-	for n < cfg.Partitions {
-		n <<= 1
-	}
-	cfg.Partitions = n
+	cfg.Partitions = stripe.RoundUp(cfg.Partitions)
 	if cfg.MaxSessions < 0 {
 		return nil, fmt.Errorf("fleet: negative session cap %d", cfg.MaxSessions)
 	}
@@ -208,35 +185,26 @@ func New(cfg Config) (*Manager, error) {
 		}
 	}
 	m := &Manager{
-		cfg:  cfg,
-		mask: uint64(n - 1),
-		now:  cfg.Now,
-		stop: make(chan struct{}),
+		cfg: cfg,
+		now: cfg.Now,
+		tab: stripe.New(cfg.Partitions, func(p *partition) {
+			p.sessions = make(map[string]*session)
+			p.parked = make(map[string]*parkedState)
+		}),
 	}
 	if m.now == nil {
 		m.now = time.Now
 	}
-	m.parts = make([]*partition, n)
-	for i := range m.parts {
-		m.parts[i] = &partition{
-			m:        m,
-			id:       i,
-			cmds:     make(chan command, partitionQueue),
-			exited:   make(chan struct{}),
-			sessions: make(map[string]*session),
-			parked:   make(map[string]*parkedState),
-		}
+	if cfg.IdleTTL > 0 {
+		m.stop = make(chan struct{})
+		m.sweeper.Add(1)
+		go m.sweepLoop()
 	}
 	return m, nil
 }
 
-// partitionQueue is each partition's command-channel depth. A full
-// queue applies backpressure to senders (bounded by their contexts),
-// and the live depth is exported as dpmd_fleet_partition_depth.
-const partitionQueue = 256
-
-// Partitions returns the (power-of-two) partition count.
-func (m *Manager) Partitions() int { return len(m.parts) }
+// Partitions returns the (power-of-two) stripe count.
+func (m *Manager) Partitions() int { return m.tab.Len() }
 
 // Live returns the current live-session count.
 func (m *Manager) Live() int { return int(m.live.Load()) }
@@ -245,7 +213,7 @@ func (m *Manager) Live() int { return int(m.live.Load()) }
 func (m *Manager) Stats() Stats {
 	return Stats{
 		SessionsLive:    int(m.live.Load()),
-		SessionsParked:  int(m.parkedTotal()),
+		SessionsParked:  int(m.parked.Load()),
 		Registered:      m.ctr.registered.Load(),
 		Resumed:         m.ctr.resumed.Load(),
 		Replaced:        m.ctr.replaced.Load(),
@@ -261,65 +229,17 @@ func (m *Manager) Stats() Stats {
 	}
 }
 
-// PartitionStats snapshots each partition's gauges, in partition
-// order.
+// PartitionStats snapshots each stripe's gauges, in stripe order.
 func (m *Manager) PartitionStats() []PartitionStats {
-	out := make([]PartitionStats, len(m.parts))
-	for i, p := range m.parts {
-		out[i] = PartitionStats{
-			Sessions: int(p.nSessions.Load()),
-			Parked:   int(p.nParked.Load()),
-			Depth:    len(p.cmds),
-		}
-	}
+	out := make([]PartitionStats, 0, m.tab.Len())
+	m.tab.Each(func(p *partition) {
+		out = append(out, PartitionStats{Sessions: len(p.sessions), Parked: len(p.parked)})
+	})
 	return out
 }
 
-// partitionFor routes a device id to its partition by FNV-1a hash —
-// the same routing plancache.Sharded uses for cache keys.
-func (m *Manager) partitionFor(deviceID string) *partition {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(deviceID); i++ {
-		h ^= uint64(deviceID[i])
-		h *= prime64
-	}
-	return m.parts[h&m.mask]
-}
-
-// start launches the partition loops on first use; it reports false
-// once the manager is closed. Lazy start keeps an unused fleet layer
-// goroutine-free (most servers, benchmarks and tests never touch it).
-func (m *Manager) start() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	switch m.life {
-	case lifeClosed:
-		return false
-	case lifeIdle:
-		m.life = lifeRunning
-		for _, p := range m.parts {
-			go p.loop()
-		}
-	}
-	return true
-}
-
-// command is one unit of work executed inside a partition's event
-// loop. run executes single-writer against the partition's state;
-// done is closed when it has run.
-type command struct {
-	run  func(p *partition)
-	done chan struct{}
-}
-
-// session is one device's live manager. All fields are owned by the
-// partition goroutine.
+// session is one device's live manager, guarded by its stripe lock.
 type session struct {
-	deviceID   string
 	mgr        *dpm.Manager
 	lastActive time.Time
 
@@ -332,152 +252,87 @@ type session struct {
 
 // parkedState is an evicted session's handed-back checkpoint.
 type parkedState struct {
-	state    dpm.State
-	slot     int
-	charge   float64
-	parkedAt time.Time
+	state  dpm.State
+	slot   int
+	charge float64
 }
 
-// partition is one goroutine-owned shard of the session table.
+// partition is one stripe's share of the session table.
 type partition struct {
-	m      *Manager
-	id     int
-	cmds   chan command
-	exited chan struct{}
-
-	// Owned by the loop goroutine.
 	sessions    map[string]*session
 	parked      map[string]*parkedState
 	parkedOrder []string
-
-	// Gauges mirrored for lock-free Stats reads.
-	nSessions atomic.Int64
-	nParked   atomic.Int64
 }
 
-// loop is the partition's single-writer event loop.
-func (p *partition) loop() {
-	var sweep <-chan time.Time
-	if p.m.cfg.IdleTTL > 0 {
-		t := time.NewTicker(p.m.cfg.SweepInterval)
-		defer t.Stop()
-		sweep = t.C
-	}
+// sweepLoop evicts idle sessions every SweepInterval until Close.
+func (m *Manager) sweepLoop() {
+	defer m.sweeper.Done()
+	t := time.NewTicker(m.cfg.SweepInterval)
+	defer t.Stop()
 	for {
 		select {
-		case cmd := <-p.cmds:
-			cmd.run(p)
-			close(cmd.done)
-		case <-sweep:
-			p.sweepIdle(p.m.now())
-		case <-p.m.stop:
-			close(p.exited)
+		case <-t.C:
+			m.sweep(m.now())
+		case <-m.stop:
 			return
 		}
 	}
 }
 
-// do runs fn inside the partition loop and waits for it, honoring ctx
-// and manager shutdown.
-func (p *partition) do(ctx context.Context, fn func(p *partition)) error {
-	if !p.m.start() {
-		return ErrClosed
-	}
-	cmd := command{run: fn, done: make(chan struct{})}
-	select {
-	case p.cmds <- cmd:
-	case <-p.exited:
-		return ErrClosed
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	select {
-	case <-cmd.done:
-		return nil
-	case <-p.exited:
-		// The loop exited with the command still queued; it will never
-		// run.
-		select {
-		case <-cmd.done:
-			return nil
-		default:
-			return ErrClosed
+// sweep evicts sessions idle past the TTL, one stripe at a time,
+// parking their checkpoints.
+func (m *Manager) sweep(now time.Time) {
+	m.tab.Each(func(p *partition) {
+		for id, s := range p.sessions {
+			if now.Sub(s.lastActive) >= m.cfg.IdleTTL {
+				m.park(p, id, s)
+			}
 		}
-	}
+	})
 }
 
-// sweepIdle evicts sessions idle past the TTL, parking their
-// checkpoints.
-func (p *partition) sweepIdle(now time.Time) {
-	ttl := p.m.cfg.IdleTTL
-	if ttl <= 0 {
-		return
-	}
-	for id, s := range p.sessions {
-		if now.Sub(s.lastActive) >= ttl {
-			p.park(id, s, now)
-		}
-	}
-}
-
-// park moves one session's checkpoint into the parked table and
-// removes the live session.
-func (p *partition) park(id string, s *session, now time.Time) {
+// park moves one session's checkpoint into the stripe's parked table
+// and removes the live session.
+func (m *Manager) park(p *partition, id string, s *session) {
 	if _, exists := p.parked[id]; !exists {
-		for len(p.parked) >= p.parkedCap() {
+		for len(p.parked) >= m.parkedCap() {
 			oldest := p.parkedOrder[0]
 			p.parkedOrder = p.parkedOrder[1:]
 			if _, ok := p.parked[oldest]; ok {
 				delete(p.parked, oldest)
-				p.m.ctr.parkedDrops.Add(1)
+				m.parked.Add(-1)
+				m.ctr.parkedDrops.Add(1)
 			}
 		}
 		p.parkedOrder = append(p.parkedOrder, id)
+		m.parked.Add(1)
 	}
 	p.parked[id] = &parkedState{
-		state:    s.mgr.Checkpoint(),
-		slot:     s.mgr.Slot(),
-		charge:   s.mgr.Charge(),
-		parkedAt: now,
+		state:  s.mgr.Checkpoint(),
+		slot:   s.mgr.Slot(),
+		charge: s.mgr.Charge(),
 	}
 	delete(p.sessions, id)
-	p.m.live.Add(-1)
-	p.nSessions.Store(int64(len(p.sessions)))
-	p.nParked.Store(int64(len(p.parked)))
-	p.m.ctr.evictions.Add(1)
+	m.live.Add(-1)
+	m.ctr.evictions.Add(1)
 }
 
-// parkedCap is this partition's share of the parked capacity.
-func (p *partition) parkedCap() int {
-	per := p.m.cfg.ParkedCapacity / len(p.m.parts)
-	if per < 1 {
-		per = 1
-	}
-	return per
+// parkedCap is one stripe's share of the parked capacity.
+func (m *Manager) parkedCap() int {
+	return max(m.cfg.ParkedCapacity/m.tab.Len(), 1)
 }
 
 // unpark removes and returns a parked checkpoint.
-func (p *partition) unpark(id string) (*parkedState, bool) {
+func (m *Manager) unpark(p *partition, id string) (*parkedState, bool) {
 	ps, ok := p.parked[id]
 	if !ok {
 		return nil, false
 	}
 	delete(p.parked, id)
+	m.parked.Add(-1)
 	// parkedOrder may still name id; the capacity loop in park
 	// tolerates stale entries.
-	p.nParked.Store(int64(len(p.parked)))
 	return ps, true
-}
-
-// parkedTotal recounts parked entries across partitions. Called only
-// from partition loops right after a mutation; each nParked gauge is
-// authoritative per partition.
-func (m *Manager) parkedTotal() int64 {
-	var n int64
-	for _, p := range m.parts {
-		n += p.nParked.Load()
-	}
-	return n
 }
 
 // RegisterSpec asks for a session.
@@ -527,13 +382,12 @@ func ValidateDeviceID(id string) error {
 }
 
 // Register creates (or replaces) the device's session. The manager is
-// constructed — Algorithm 1 plus the memoized Algorithm 2 table — in
-// the caller's goroutine so partition loops stay fast; only the
-// install runs inside the partition. An explicit checkpoint that the
-// manager rejects fails with *BadCheckpointError before any session
-// state changes. With no explicit checkpoint, a parked (evicted)
-// checkpoint for the device is restored and consumed — the eviction
-// handback path.
+// constructed — Algorithm 1 plus the memoized Algorithm 2 table —
+// before the stripe lock is taken; only the install runs under it. An
+// explicit checkpoint that the manager rejects fails with
+// *BadCheckpointError before any session state changes. With no
+// explicit checkpoint, a parked (evicted) checkpoint for the device is
+// restored and consumed — the eviction handback path.
 func (m *Manager) Register(ctx context.Context, spec RegisterSpec) (RegisterResult, error) {
 	if m.closed.Load() {
 		return RegisterResult{}, ErrClosed
@@ -560,64 +414,50 @@ func (m *Manager) Register(ctx context.Context, spec RegisterSpec) (RegisterResu
 	// fleet scale.
 	mgr.ReleaseInitial()
 
-	var (
-		res  RegisterResult
-		rerr error
-	)
-	p := m.partitionFor(spec.DeviceID)
-	err = p.do(ctx, func(p *partition) {
-		_, replaced := p.sessions[spec.DeviceID]
-		if !replaced {
-			if n, max := m.live.Add(1), int64(m.cfg.MaxSessions); max > 0 && n > max {
-				m.live.Add(-1)
-				m.ctr.rejected.Add(1)
-				rerr = ErrFull
-				return
+	st := m.tab.For(spec.DeviceID)
+	p := st.Lock()
+	defer st.Unlock()
+	if m.closed.Load() {
+		return RegisterResult{}, ErrClosed
+	}
+	_, replaced := p.sessions[spec.DeviceID]
+	if !replaced {
+		if n, max := m.live.Add(1), int64(m.cfg.MaxSessions); max > 0 && n > max {
+			m.live.Add(-1)
+			m.ctr.rejected.Add(1)
+			return RegisterResult{}, ErrFull
+		}
+	}
+	resumed := spec.State != nil
+	if spec.State == nil {
+		if ps, ok := m.unpark(p, spec.DeviceID); ok {
+			// The parked checkpoint came from a manager with the same
+			// session key; a restore failure means the device
+			// re-registered with a different scenario — start fresh.
+			if err := mgr.Restore(ps.state); err == nil {
+				resumed = true
 			}
 		}
-		resumed := spec.State != nil
-		if spec.State == nil {
-			if ps, ok := p.unpark(spec.DeviceID); ok {
-				// The parked checkpoint came from a manager with the same
-				// session key; a restore failure means the device
-				// re-registered with a different scenario — start fresh.
-				if err := mgr.Restore(ps.state); err == nil {
-					resumed = true
-				}
-			}
-		} else {
-			// An explicit checkpoint supersedes any parked one.
-			p.unpark(spec.DeviceID)
-		}
-		p.sessions[spec.DeviceID] = &session{
-			deviceID:   spec.DeviceID,
-			mgr:        mgr,
-			lastActive: m.now(),
-		}
-		p.nSessions.Store(int64(len(p.sessions)))
-		m.ctr.registered.Add(1)
-		if resumed {
-			m.ctr.resumed.Add(1)
-		}
-		if replaced {
-			m.ctr.replaced.Add(1)
-		}
-		res = RegisterResult{
-			Slot:     mgr.Slot(),
-			ChargeJ:  mgr.Charge(),
-			Plan:     mgr.PlanSnapshot(),
-			Resumed:  resumed,
-			Replaced: replaced,
-		}
-	})
-	if err != nil {
-		return RegisterResult{}, err
+	} else {
+		// An explicit checkpoint supersedes any parked one.
+		m.unpark(p, spec.DeviceID)
 	}
-	if rerr != nil {
-		return RegisterResult{}, rerr
+	p.sessions[spec.DeviceID] = &session{mgr: mgr, lastActive: m.now()}
+	m.ctr.registered.Add(1)
+	if resumed {
+		m.ctr.resumed.Add(1)
 	}
-	span.SetAttr("resumed", res.Resumed)
-	return res, nil
+	if replaced {
+		m.ctr.replaced.Add(1)
+	}
+	span.SetAttr("resumed", resumed)
+	return RegisterResult{
+		Slot:     mgr.Slot(),
+		ChargeJ:  mgr.Charge(),
+		Plan:     mgr.PlanSnapshot(),
+		Resumed:  resumed,
+		Replaced: replaced,
+	}, nil
 }
 
 // TickSpec streams one device's completed-slot telemetry.
@@ -654,10 +494,10 @@ type TickResult struct {
 	State *dpm.State
 }
 
-// Tick applies the reports inside the session's partition and returns
-// the updated plan. Unknown devices fail with ErrUnknownDevice;
-// idle-evicted ones with ErrEvicted (their checkpoint is parked and a
-// re-register resumes it).
+// Tick applies the reports to the session under its stripe lock and
+// returns the updated plan. Unknown devices fail with
+// ErrUnknownDevice; idle-evicted ones with ErrEvicted (their
+// checkpoint is parked and a re-register resumes it).
 func (m *Manager) Tick(ctx context.Context, spec TickSpec) (TickResult, error) {
 	if m.closed.Load() {
 		return TickResult{}, ErrClosed
@@ -671,68 +511,111 @@ func (m *Manager) Tick(ctx context.Context, spec TickSpec) (TickResult, error) {
 	ctx, span := obs.StartSpan(ctx, "fleet.tick")
 	defer span.End()
 	span.SetAttr("slots", len(spec.Reports))
-	var (
-		res  TickResult
-		rerr error
-	)
-	p := m.partitionFor(spec.DeviceID)
-	err := p.do(ctx, func(p *partition) {
-		s, ok := p.sessions[spec.DeviceID]
-		if !ok {
-			if _, parked := p.parked[spec.DeviceID]; parked {
-				rerr = ErrEvicted
-			} else {
-				rerr = ErrUnknownDevice
-			}
-			return
-		}
-		s.lastActive = m.now()
-		if spec.Seq != 0 && spec.Seq == s.lastSeq {
-			res = s.lastResult
-			res.Replayed = true
-			if !spec.IncludeState {
-				res.State = nil
-			}
-			m.ctr.replays.Add(1)
-			return
-		}
-		_, rspan := obs.StartSpan(ctx, "fleet.replan")
-		replans := 0
-		for _, rep := range spec.Reports {
-			if s.mgr.EndSlotReplan(rep.UsedJ, rep.SuppliedJ) {
-				replans++
-			}
-		}
-		rspan.SetAttr("replans", replans)
-		rspan.End()
-		res = TickResult{
-			Slot:    s.mgr.Slot(),
-			ChargeJ: s.mgr.Charge(),
-			Plan:    s.mgr.PlanSnapshot(),
-			Replans: replans,
-		}
-		if spec.IncludeState || spec.Seq != 0 {
-			st := s.mgr.Checkpoint()
-			res.State = &st
-		}
-		if spec.Seq != 0 {
-			s.lastSeq = spec.Seq
-			s.lastResult = res
-		}
-		if !spec.IncludeState {
-			res.State = nil
-		}
-		m.ctr.ticks.Add(1)
-		m.ctr.slotReports.Add(uint64(len(spec.Reports)))
-		m.ctr.replans.Add(uint64(replans))
-	})
+	st := m.tab.For(spec.DeviceID)
+	p := st.Lock()
+	defer st.Unlock()
+	s, err := m.session(p, spec.DeviceID)
 	if err != nil {
 		return TickResult{}, err
 	}
-	if rerr != nil {
-		return TickResult{}, rerr
+	if spec.Seq != 0 && spec.Seq == s.lastSeq {
+		res := s.lastResult
+		res.Replayed = true
+		if !spec.IncludeState {
+			res.State = nil
+		}
+		m.ctr.replays.Add(1)
+		return res, nil
+	}
+	_, rspan := obs.StartSpan(ctx, "fleet.replan")
+	replans := m.apply(s, spec.Reports)
+	rspan.SetAttr("replans", replans)
+	rspan.End()
+	res := TickResult{
+		Slot:    s.mgr.Slot(),
+		ChargeJ: s.mgr.Charge(),
+		Plan:    s.mgr.PlanSnapshot(),
+		Replans: replans,
+	}
+	if spec.IncludeState || spec.Seq != 0 {
+		cp := s.mgr.Checkpoint()
+		res.State = &cp
+	}
+	if spec.Seq != 0 {
+		s.lastSeq = spec.Seq
+		s.lastResult = res
+	}
+	if !spec.IncludeState {
+		res.State = nil
 	}
 	return res, nil
+}
+
+// Observe applies one completed-slot report to the device's session:
+// Tick's inner step without the plan copy, the seq memo or the spans.
+// The telemetry flush runs it once per device per window. It reports
+// whether the deviation triggered an Algorithm 3 redistribution.
+func (m *Manager) Observe(deviceID string, rep pipeline.SlotReport) (bool, error) {
+	reports := [1]pipeline.SlotReport{rep}
+	if err := pipeline.ValidateReports(reports[:]); err != nil {
+		return false, err
+	}
+	st := m.tab.For(deviceID)
+	p := st.Lock()
+	defer st.Unlock()
+	s, err := m.session(p, deviceID)
+	if err != nil {
+		return false, err
+	}
+	return m.apply(s, reports[:]) > 0, nil
+}
+
+// Charge returns the device's battery-charge estimate in joules: the
+// live session's, or the parked checkpoint's for an idle-evicted one.
+func (m *Manager) Charge(deviceID string) (float64, bool) {
+	st := m.tab.For(deviceID)
+	p := st.Lock()
+	defer st.Unlock()
+	if s, ok := p.sessions[deviceID]; ok {
+		return s.mgr.Charge(), true
+	}
+	if ps, ok := p.parked[deviceID]; ok {
+		return ps.charge, true
+	}
+	return 0, false
+}
+
+// session returns the device's live session, marked active, or the
+// error its absence maps to. The caller holds the device's stripe.
+func (m *Manager) session(p *partition, deviceID string) (*session, error) {
+	if m.closed.Load() {
+		return nil, ErrClosed
+	}
+	s, ok := p.sessions[deviceID]
+	if !ok {
+		if _, parked := p.parked[deviceID]; parked {
+			return nil, ErrEvicted
+		}
+		return nil, ErrUnknownDevice
+	}
+	s.lastActive = m.now()
+	return s, nil
+}
+
+// apply runs the reports through the session's Algorithm 3 step and
+// counts them as one tick, returning how many triggered a
+// redistribution. The caller holds the session's stripe.
+func (m *Manager) apply(s *session, reports []pipeline.SlotReport) int {
+	replans := 0
+	for _, rep := range reports {
+		if s.mgr.EndSlotReplan(rep.UsedJ, rep.SuppliedJ) {
+			replans++
+		}
+	}
+	m.ctr.ticks.Add(1)
+	m.ctr.slotReports.Add(uint64(len(reports)))
+	m.ctr.replans.Add(uint64(replans))
+	return replans
 }
 
 // Drained is one removed session's final checkpoint.
@@ -750,115 +633,84 @@ type Drained struct {
 }
 
 // Drain removes every session — live and parked — and returns each
-// final checkpoint exactly once, sorted by device id. Each
-// partition's removal is atomic under its single-writer loop:
-// a concurrent tick is either applied before the drain (and included
-// in the checkpoint) or answered ErrUnknownDevice after it. The
-// manager stays usable; devices may re-register.
+// final checkpoint exactly once, sorted by device id. Each stripe's
+// removal is atomic under its lock: a concurrent tick is either
+// applied before the drain (and included in the checkpoint) or
+// answered ErrUnknownDevice after it. The manager stays usable;
+// devices may re-register.
 func (m *Manager) Drain(ctx context.Context) ([]Drained, error) {
 	if m.closed.Load() {
 		return nil, ErrClosed
 	}
 	_, span := obs.StartSpan(ctx, "fleet.drain")
 	defer span.End()
-	out := make([][]Drained, len(m.parts))
-	for i, p := range m.parts {
-		i, p := i, p
-		if err := p.do(ctx, func(p *partition) {
-			out[i] = p.drainLocked()
-		}); err != nil {
-			return nil, err
-		}
-	}
-	var all []Drained
-	for _, d := range out {
-		all = append(all, d...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].DeviceID < all[j].DeviceID })
+	all := m.drainAll()
 	m.ctr.drains.Add(1)
 	m.ctr.drainedSess.Add(uint64(len(all)))
 	span.SetAttr("sessions", len(all))
 	return all, nil
 }
 
-// drainLocked removes and checkpoints every session and parked entry
-// in one partition. Runs inside the loop goroutine.
-func (p *partition) drainLocked() []Drained {
-	out := make([]Drained, 0, len(p.sessions)+len(p.parked))
-	for id, s := range p.sessions {
-		out = append(out, Drained{
-			DeviceID: id,
-			Slot:     s.mgr.Slot(),
-			ChargeJ:  s.mgr.Charge(),
-			State:    s.mgr.Checkpoint(),
-		})
-		delete(p.sessions, id)
-		p.m.live.Add(-1)
-	}
-	for id, ps := range p.parked {
-		out = append(out, Drained{
-			DeviceID: id,
-			Slot:     ps.slot,
-			ChargeJ:  ps.charge,
-			State:    ps.state,
-			Evicted:  true,
-		})
-		delete(p.parked, id)
-	}
-	p.parkedOrder = p.parkedOrder[:0]
-	p.nSessions.Store(0)
-	p.nParked.Store(0)
+// drainAll removes and checkpoints every session and parked entry,
+// one stripe at a time, sorted by device id.
+func (m *Manager) drainAll() []Drained {
+	var out []Drained
+	m.tab.Each(func(p *partition) {
+		for id, s := range p.sessions {
+			out = append(out, Drained{
+				DeviceID: id,
+				Slot:     s.mgr.Slot(),
+				ChargeJ:  s.mgr.Charge(),
+				State:    s.mgr.Checkpoint(),
+			})
+			delete(p.sessions, id)
+			m.live.Add(-1)
+		}
+		for id, ps := range p.parked {
+			out = append(out, Drained{
+				DeviceID: id,
+				Slot:     ps.slot,
+				ChargeJ:  ps.charge,
+				State:    ps.state,
+				Evicted:  true,
+			})
+			delete(p.parked, id)
+			m.parked.Add(-1)
+		}
+		p.parkedOrder = p.parkedOrder[:0]
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].DeviceID < out[j].DeviceID })
 	return out
 }
 
-// SweepNow forces an idle sweep on every partition — deterministic
-// eviction for tests and operational tooling.
+// SweepNow forces an idle sweep — deterministic eviction for tests and
+// operational tooling.
 func (m *Manager) SweepNow(ctx context.Context) error {
 	if m.closed.Load() {
 		return ErrClosed
 	}
-	now := m.now()
-	for _, p := range m.parts {
-		if err := p.do(ctx, func(p *partition) { p.sweepIdle(now) }); err != nil {
-			return err
-		}
+	if m.cfg.IdleTTL > 0 {
+		m.sweep(m.now())
 	}
 	return nil
 }
 
-// Close stops every partition goroutine and returns the final
-// checkpoints of whatever sessions remained — the shutdown drain. It
-// is idempotent; after Close every operation fails with ErrClosed.
-// Callers that want the checkpoints on an orderly shutdown should
-// Drain first (over HTTP: POST /v1/fleet/drain during the drain-grace
-// window), since Close's return value has nowhere to go once the
-// listener is down.
+// Close marks the manager closed, stops the idle sweeper and returns
+// the final checkpoints of whatever sessions remained — the shutdown
+// drain. Each stripe is drained under its lock, so Close waits out any
+// operation still holding one, and an operation that takes a stripe
+// after it sees the flag. Close is idempotent; after it every
+// operation fails with ErrClosed. Callers that want the checkpoints on
+// an orderly shutdown should Drain first (over HTTP: POST
+// /v1/fleet/drain during the drain-grace window), since Close's return
+// value has nowhere to go once the listener is down.
 func (m *Manager) Close() []Drained {
-	m.mu.Lock()
-	if m.life == lifeClosed {
-		m.mu.Unlock()
+	if m.closed.Swap(true) {
 		return nil
 	}
-	wasRunning := m.life == lifeRunning
-	m.life = lifeClosed
-	m.closed.Store(true)
-	m.mu.Unlock()
-
-	close(m.stop)
-	if wasRunning {
-		// Each loop finishes any in-flight command, observes stop, and
-		// closes exited; queued-but-unserved senders get ErrClosed via
-		// the same channel.
-		for _, p := range m.parts {
-			<-p.exited
-		}
+	if m.stop != nil {
+		close(m.stop)
+		m.sweeper.Wait()
 	}
-	// No goroutine owns the partition maps anymore (loops exited, or
-	// never started and do() now refuses), so direct reads are safe.
-	var out []Drained
-	for _, p := range m.parts {
-		out = append(out, p.drainLocked()...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].DeviceID < out[j].DeviceID })
-	return out
+	return m.drainAll()
 }

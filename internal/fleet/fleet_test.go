@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dpm/internal/chaostest"
 	"dpm/internal/dpm"
 	"dpm/internal/params"
 	"dpm/internal/pipeline"
@@ -588,6 +589,25 @@ func TestCloseNeverStarted(t *testing.T) {
 	}
 }
 
+// TestNoGoroutineWithoutIdleTTL: with no idle TTL the manager runs
+// every operation in its callers' goroutines and starts none itself.
+func TestNoGoroutineWithoutIdleTTL(t *testing.T) {
+	ctx := context.Background()
+	before := chaostest.SnapshotGoroutines()
+	m := newTestManager(t, Config{Partitions: 4})
+	spec := registerSpec(t, "no-goroutines")
+	if _, err := m.Register(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Tick(ctx, TickSpec{DeviceID: spec.DeviceID, Reports: []pipeline.SlotReport{{UsedJ: 9, SuppliedJ: 10}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	chaostest.CheckGoroutines(t, before)
+}
+
 // TestValidation covers the input edges.
 func TestValidation(t *testing.T) {
 	ctx := context.Background()
@@ -636,8 +656,8 @@ func TestPartitionRouting(t *testing.T) {
 	if m.Partitions() != 8 {
 		t.Fatalf("partitions=%d, want 8", m.Partitions())
 	}
-	p1 := m.partitionFor("some-device")
-	p2 := m.partitionFor("some-device")
+	p1 := m.tab.For("some-device")
+	p2 := m.tab.For("some-device")
 	if p1 != p2 {
 		t.Fatal("device routing unstable")
 	}

@@ -1,14 +1,26 @@
 // Package ingest closes the paper's §4.3 loop with measured traffic:
 // a StatsD-style UDP daemon accepts high-rate per-device counters
 // (task arrivals) and gauges (charging power), aggregates them into
-// per-flush-window buckets inside goroutine-owned shards (FNV-routed,
-// mirroring internal/fleet partitioning), and at each flush closes
-// one slot of an observed schedule.Grid per device. Completed periods
-// feed internal/predict estimators into updated usage/charging
+// per-flush-window buckets in a lock-striped device table (the
+// internal/stripe table internal/fleet also uses), and at each flush
+// closes one slot of an observed schedule.Grid per device. Completed
+// periods feed internal/predict estimators into updated usage/charging
 // forecasts, and a divergence monitor with hysteresis compares
 // observed against planned per-slot — on a sustained breach the next
 // period wrap triggers a forecast-driven replan through the Replanner
-// (the server bridges it onto fleet.Register/Tick).
+// (the server bridges it onto fleet.Observe/Register).
+//
+// The UDP reader parses each line and applies it inline under its
+// device's stripe lock. A flush walks the stripes in order and each
+// stripe's devices in id order, taking the stripe lock per device so
+// the reader never waits behind more than one device's close. The
+// daemon's only goroutines are the reader and the flush timer.
+//
+// Lock order: ingest stripe → fleet stripe → the server's ingest
+// registration mutex. The flush holds an ingest stripe while it calls
+// the Replanner, which takes fleet stripes; nothing may take these
+// locks in the other direction, so a Replanner must never call back
+// into the daemon.
 //
 // Every stage is itself observable: dpmd_ingest_* Prometheus families
 // (WriteProm), obs spans on the flush→forecast→replan pipeline
@@ -23,7 +35,10 @@ import (
 	"io"
 	"math"
 	"net"
+	"os"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,6 +47,7 @@ import (
 	"dpm/internal/predict"
 	"dpm/internal/scenario"
 	"dpm/internal/schedule"
+	"dpm/internal/stripe"
 )
 
 // ErrClosed reports an operation on a closed daemon.
@@ -98,9 +114,11 @@ type Config struct {
 	HysteresisDown int
 	// EventEnergyJ converts counted events to joules (default 1).
 	EventEnergyJ float64
-	// Shards is the aggregation shard count, rounded up to a power of
-	// two (default 4); MaxDevices caps tracked-device cardinality
-	// across all shards (default 1024).
+	// Shards is the device table's stripe count, rounded up to a power
+	// of two (default 64: a flush holds one stripe at a time, so the
+	// UDP reader collides with it on 1/Shards of its samples);
+	// MaxDevices caps tracked-device cardinality across all stripes
+	// (default 1024).
 	Shards     int
 	MaxDevices int
 	// Replanner receives ticks and divergence replans; nil means
@@ -136,7 +154,7 @@ func (c *Config) setDefaults() {
 		c.EventEnergyJ = 1
 	}
 	if c.Shards == 0 {
-		c.Shards = 4
+		c.Shards = 64
 	}
 	if c.MaxDevices == 0 {
 		c.MaxDevices = 1024
@@ -164,20 +182,22 @@ const divergenceFloorW = 0.1
 
 // Daemon is one ingestion instance.
 type Daemon struct {
-	cfg    Config
-	shards []*shard
-	mask   uint64
+	cfg Config
+	tab *stripe.Table[shard]
 
-	// mu serializes public entry points against Close: senders hold
-	// the read side while touching shard channels, Close flips closed
-	// under the write side before the channels shut.
+	// mu guards closed and conn. Entry points that must not overlap
+	// Close (Track, Untrack, FlushNow, DeviceStatuses) hold the read
+	// side; Close flips closed under the write side, so it waits for
+	// them.
 	mu     sync.RWMutex
 	closed bool
+	conn   *net.UDPConn
+	quit   chan struct{}
+	wg     sync.WaitGroup // reader + flush timer
 
-	conn    *net.UDPConn
-	quit    chan struct{}
-	wg      sync.WaitGroup // reader + flush ticker
-	shardWG sync.WaitGroup
+	// drainers are flushes waiting for the reader to empty the socket.
+	drainMu  sync.Mutex
+	drainers []chan struct{}
 
 	datagrams  atomic.Uint64
 	lines      atomic.Uint64
@@ -197,6 +217,30 @@ type Daemon struct {
 	lastFlush time.Time
 }
 
+// shard is one stripe's devices.
+type shard struct {
+	devices map[string]*device
+	// order is devices sorted by id, the flush order; stale marks it
+	// for a rebuild after the device set changes. A rebuild makes a
+	// new slice, so a flush may walk an old one without the lock.
+	order []*device
+	stale bool
+}
+
+// sorted returns the stripe's devices in id order, rebuilding the
+// order only after the device set changed.
+func (sh *shard) sorted() []*device {
+	if sh.stale {
+		order := make([]*device, 0, len(sh.devices))
+		for _, dev := range sh.devices {
+			order = append(order, dev)
+		}
+		slices.SortFunc(order, func(a, b *device) int { return strings.Compare(a.id, b.id) })
+		sh.order, sh.stale = order, false
+	}
+	return sh.order
+}
+
 // dropIndex maps a drop reason to its counter slot.
 var dropIndex = func() map[string]int {
 	m := make(map[string]int, len(DropReasons))
@@ -206,9 +250,8 @@ var dropIndex = func() map[string]int {
 	return m
 }()
 
-// New validates the configuration and builds the daemon (shard loops
-// start immediately; the UDP listener and flush timer start on
-// Start).
+// New validates the configuration and builds the daemon. It starts no
+// goroutine: the UDP listener and flush timer start on Start.
 func New(cfg Config) (*Daemon, error) {
 	cfg.setDefaults()
 	if _, err := NewPredictor(cfg.Predictor, cfg.Window, cfg.Alpha); err != nil {
@@ -226,26 +269,14 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.FlushInterval < 0 {
 		return nil, fmt.Errorf("ingest: negative flush interval %s", cfg.FlushInterval)
 	}
-	n := 1
-	for n < cfg.Shards {
-		n <<= 1
-	}
-	d := &Daemon{
+	return &Daemon{
 		cfg:   cfg,
-		mask:  uint64(n - 1),
+		tab:   stripe.New(cfg.Shards, func(sh *shard) { sh.devices = make(map[string]*device) }),
 		quit:  make(chan struct{}),
 		drops: make([]atomic.Uint64, len(DropReasons)),
 		flushHist: obs.NewHistogramVec("dpmd_ingest_flush_duration_seconds",
-			"Wall time of one full flush pass (all shards), by outcome.", "result", nil),
-	}
-	d.shards = make([]*shard, n)
-	for i := range d.shards {
-		sh := &shard{d: d, ch: make(chan shardCmd, 1024), devices: make(map[string]*device)}
-		d.shards[i] = sh
-		d.shardWG.Add(1)
-		go sh.loop()
-	}
-	return d, nil
+			"Wall time of one full flush pass (all stripes), by outcome.", "result", nil),
+	}, nil
 }
 
 // Start binds the UDP listener (when configured) and starts the flush
@@ -286,8 +317,9 @@ func (d *Daemon) Addr() string {
 	return d.conn.LocalAddr().String()
 }
 
-// Close stops the listener, the flush timer and every shard loop. It
-// is idempotent and leaves no goroutines behind.
+// Close marks the daemon closed, waiting out any flush, track or
+// status call in progress, then stops the listener and the flush
+// timer. It is idempotent and leaves no goroutines behind.
 func (d *Daemon) Close() {
 	d.mu.Lock()
 	if d.closed {
@@ -302,23 +334,34 @@ func (d *Daemon) Close() {
 		conn.Close() //nolint:errcheck
 	}
 	d.wg.Wait()
-	for _, sh := range d.shards {
-		close(sh.ch)
-	}
-	d.shardWG.Wait()
 }
 
 // readLoop drains datagrams until the connection closes.
+// A flush wakes the reader with an expired read deadline; the reader
+// then reads with a deadline drainIdle ahead until the socket stays
+// empty that long, and releases the flush.
 func (d *Daemon) readLoop(conn *net.UDPConn) {
 	defer d.wg.Done()
 	buf := make([]byte, 65536)
+	draining := false
 	for {
+		if draining {
+			conn.SetReadDeadline(time.Now().Add(drainIdle)) //nolint:errcheck
+		}
 		n, _, err := conn.ReadFromUDP(buf)
 		if err != nil {
 			select {
 			case <-d.quit:
 				return
 			default:
+			}
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				if draining {
+					conn.SetReadDeadline(time.Time{}) //nolint:errcheck
+					d.releaseDrainers()
+				}
+				draining = !draining
+				continue
 			}
 			// Transient errors (e.g. ICMP-induced) back off briefly;
 			// a closed socket lands in the quit case next read.
@@ -330,6 +373,38 @@ func (d *Daemon) readLoop(conn *net.UDPConn) {
 	}
 }
 
+// drainIdle is how long the socket must stay empty before a drain
+// ends.
+const drainIdle = 100 * time.Microsecond
+
+// drainSocket waits until the reader has applied every datagram the
+// socket holds, so a flush never closes a window ahead of samples the
+// host already received. Samples applied inline give no other order
+// between the reader and a flush. The caller holds d.mu.RLock.
+func (d *Daemon) drainSocket(ctx context.Context) {
+	done := make(chan struct{})
+	d.drainMu.Lock()
+	d.drainers = append(d.drainers, done)
+	d.drainMu.Unlock()
+	d.conn.SetReadDeadline(time.Now()) //nolint:errcheck
+	select {
+	case <-done:
+	case <-ctx.Done():
+	case <-d.quit:
+	}
+}
+
+// releaseDrainers ends every drain waiting on the reader.
+func (d *Daemon) releaseDrainers() {
+	d.drainMu.Lock()
+	drainers := d.drainers
+	d.drainers = nil
+	d.drainMu.Unlock()
+	for _, done := range drainers {
+		close(done)
+	}
+}
+
 // Inject feeds one datagram's bytes directly — the test entry point
 // bypassing UDP delivery jitter.
 func (d *Daemon) Inject(data []byte) {
@@ -337,12 +412,11 @@ func (d *Daemon) Inject(data []byte) {
 	d.ingestDatagram(data)
 }
 
-// ingestDatagram parses the newline-separated lines and routes the
-// samples to their shards, batched per shard. The reader never
-// blocks: a full shard queue sheds the batch with reason
-// "backpressure".
+// ingestDatagram parses the newline-separated lines and applies each
+// sample inline under its device's stripe lock. The counters move once
+// per datagram.
 func (d *Daemon) ingestDatagram(data []byte) {
-	var batches map[uint64][]Sample
+	var lines, parsed, applied uint64
 	start := 0
 	for i := 0; i <= len(data); i++ {
 		if i != len(data) && data[i] != '\n' {
@@ -357,36 +431,34 @@ func (d *Daemon) ingestDatagram(data []byte) {
 			// Trailing newline / blank separator: not a counted line.
 			continue
 		}
-		d.lines.Add(1)
-		s, reason := ParseLine(line)
-		if reason != "" {
+		lines++
+		s, device, reason := parseLine(line)
+		switch {
+		case reason != "":
 			d.drop(reason)
-			continue
-		}
-		d.parsed.Add(1)
-		idx := fnv64(s.Device) & d.mask
-		if batches == nil {
-			batches = make(map[uint64][]Sample, 2)
-		}
-		batches[idx] = append(batches[idx], s)
-	}
-	if batches == nil {
-		return
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
-		return
-	}
-	for idx, samples := range batches {
-		select {
-		case d.shards[idx].ch <- shardCmd{samples: samples}:
+		case d.apply(device, s):
+			parsed++
+			applied++
 		default:
-			for range samples {
-				d.drop(DropBackpressure)
-			}
+			parsed++
+			d.drop(DropUntracked)
 		}
 	}
+	d.lines.Add(lines)
+	d.parsed.Add(parsed)
+	d.applied.Add(applied)
+}
+
+// apply accumulates one sample into its device's window and reports
+// whether the device is tracked.
+func (d *Daemon) apply(device []byte, s Sample) bool {
+	st := d.tab.For(string(device))
+	dev, ok := st.Lock().devices[string(device)]
+	if ok {
+		dev.add(s)
+	}
+	st.Unlock()
+	return ok
 }
 
 func (d *Daemon) drop(reason string) {
@@ -412,88 +484,8 @@ func (d *Daemon) flushLoop() {
 	}
 }
 
-// fnv64 is the FNV-1a hash fleet and plancache route with.
-func fnv64(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
-}
-
-// shard owns a disjoint set of devices; all device state is touched
-// only by its loop goroutine (the fleet partition idiom).
-type shard struct {
-	d       *Daemon
-	ch      chan shardCmd
-	devices map[string]*device
-}
-
-// shardCmd is one queue entry: a sample batch (from the reader), a
-// control closure (track/flush/stats), or both halves unused.
-type shardCmd struct {
-	samples []Sample
-	fn      func(*shard)
-	done    chan struct{}
-}
-
-func (sh *shard) loop() {
-	defer sh.d.shardWG.Done()
-	for cmd := range sh.ch {
-		if len(cmd.samples) > 0 {
-			sh.apply(cmd.samples)
-		}
-		if cmd.fn != nil {
-			cmd.fn(sh)
-		}
-		if cmd.done != nil {
-			close(cmd.done)
-		}
-	}
-}
-
-// do runs fn inside the shard goroutine and waits for it. Callers
-// must hold d.mu.RLock (the closed guard).
-func (sh *shard) do(fn func(*shard)) {
-	done := make(chan struct{})
-	sh.ch <- shardCmd{fn: fn, done: done}
-	<-done
-}
-
-// apply accumulates a parsed batch into the owning devices' windows.
-func (sh *shard) apply(samples []Sample) {
-	for _, s := range samples {
-		dev, ok := sh.devices[s.Device]
-		if !ok {
-			sh.d.drop(DropUntracked)
-			continue
-		}
-		switch s.Kind {
-		case KindCounter:
-			dev.events += s.Value
-		case KindGauge:
-			if s.Delta {
-				dev.gaugeLevel += s.Value
-			} else {
-				dev.gaugeLevel = s.Value
-			}
-			if dev.gaugeLevel < 0 {
-				dev.gaugeLevel = 0
-			}
-			dev.gaugeSum += dev.gaugeLevel
-			dev.gaugeCount++
-		}
-		sh.d.applied.Add(1)
-	}
-}
-
 // device is one tracked device's aggregation, forecast and
-// divergence state. Owned by its shard goroutine.
+// divergence state, guarded by its stripe lock.
 type device struct {
 	id    string
 	step  float64
@@ -529,6 +521,29 @@ type device struct {
 
 	periods uint64
 	replans uint64
+
+	// removed marks a device untracked or replaced since a flush
+	// took its stripe's order; the flush skips it.
+	removed bool
+}
+
+// add accumulates one sample into the window.
+func (dev *device) add(s Sample) {
+	switch s.Kind {
+	case KindCounter:
+		dev.events += s.Value
+	case KindGauge:
+		if s.Delta {
+			dev.gaugeLevel += s.Value
+		} else {
+			dev.gaugeLevel = s.Value
+		}
+		if dev.gaugeLevel < 0 {
+			dev.gaugeLevel = 0
+		}
+		dev.gaugeSum += dev.gaugeLevel
+		dev.gaugeCount++
+	}
 }
 
 // Track registers (or re-registers) a device: the planned grids
@@ -554,31 +569,28 @@ func (d *Daemon) Track(deviceID string, usage, charging *schedule.Grid) error {
 	if d.closed {
 		return ErrClosed
 	}
-	var err error
-	sh := d.shards[fnv64(deviceID)&d.mask]
-	sh.do(func(sh *shard) {
-		err = sh.track(deviceID, usage, charging)
-	})
-	return err
-}
-
-func (sh *shard) track(deviceID string, usage, charging *schedule.Grid) error {
+	st := d.tab.For(deviceID)
+	sh := st.Lock()
+	defer st.Unlock()
 	dev, ok := sh.devices[deviceID]
 	if ok && dev.step == usage.Step && dev.slots == usage.Len() {
 		copy(dev.plannedUsage, usage.Values)
 		copy(dev.plannedCharging, charging.Values)
 		return nil
 	}
-	if !ok && int(sh.d.deviceN.Load()) >= sh.d.cfg.MaxDevices {
-		sh.d.drop(DropCardinality)
-		return fmt.Errorf("ingest: tracked-device cap %d reached", sh.d.cfg.MaxDevices)
+	if !ok && d.deviceN.Add(1) > int64(d.cfg.MaxDevices) {
+		d.deviceN.Add(-1)
+		d.drop(DropCardinality)
+		return fmt.Errorf("ingest: tracked-device cap %d reached", d.cfg.MaxDevices)
 	}
-	up, _ := NewPredictor(sh.d.cfg.Predictor, sh.d.cfg.Window, sh.d.cfg.Alpha)
-	cp, _ := NewPredictor(sh.d.cfg.Predictor, sh.d.cfg.Window, sh.d.cfg.Alpha)
+	if ok {
+		// A geometry change resets the device; a flush still walking
+		// the old order skips the replaced one.
+		dev.removed = true
+	}
+	up, _ := NewPredictor(d.cfg.Predictor, d.cfg.Window, d.cfg.Alpha)
+	cp, _ := NewPredictor(d.cfg.Predictor, d.cfg.Window, d.cfg.Alpha)
 	n := usage.Len()
-	if !ok {
-		sh.d.deviceN.Add(1)
-	}
 	sh.devices[deviceID] = &device{
 		id:              deviceID,
 		step:            usage.Step,
@@ -590,6 +602,7 @@ func (sh *shard) track(deviceID string, usage, charging *schedule.Grid) error {
 		usagePred:       up,
 		chargingPred:    cp,
 	}
+	sh.stale = true
 	return nil
 }
 
@@ -600,13 +613,15 @@ func (d *Daemon) Untrack(deviceID string) {
 	if d.closed {
 		return
 	}
-	sh := d.shards[fnv64(deviceID)&d.mask]
-	sh.do(func(sh *shard) {
-		if _, ok := sh.devices[deviceID]; ok {
-			delete(sh.devices, deviceID)
-			sh.d.deviceN.Add(-1)
-		}
-	})
+	st := d.tab.For(deviceID)
+	sh := st.Lock()
+	defer st.Unlock()
+	if dev, ok := sh.devices[deviceID]; ok {
+		dev.removed = true
+		delete(sh.devices, deviceID)
+		sh.stale = true
+		d.deviceN.Add(-1)
+	}
 }
 
 // FlushResult summarizes one flush pass.
@@ -623,8 +638,12 @@ type FlushResult struct {
 // device's accumulated counters become one observed slot, the slot is
 // ticked into its fleet session, divergence is scored, and at period
 // boundaries the predictors re-forecast (firing a pending replan).
-// Shards flush sequentially so the recorded span tree is a single
-// deterministic flush→forecast→replan forest.
+// Stripes flush in order and each stripe's devices in id order, so the
+// recorded span tree is deterministic: one ingest.flush span carrying
+// the pass's totals, with an ingest.forecast (and possibly an
+// ingest.replan) child per device whose period wrapped. The stripe
+// lock is taken per device, so the UDP reader never waits behind more
+// than one device's close.
 func (d *Daemon) FlushNow(ctx context.Context) (FlushResult, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -632,48 +651,56 @@ func (d *Daemon) FlushNow(ctx context.Context) (FlushResult, error) {
 		return FlushResult{}, ErrClosed
 	}
 	start := time.Now()
+	if d.conn != nil {
+		d.drainSocket(ctx)
+	}
 	rec := &obs.Recorder{Stages: d.cfg.Stages, Trace: obs.NewTrace()}
 	ctx = obs.WithRecorder(ctx, rec)
 	ctx, span := obs.StartSpan(ctx, "ingest.flush")
-	var res FlushResult
-	for _, sh := range d.shards {
-		sh.do(func(sh *shard) {
-			slots, replans := sh.flush(ctx)
-			res.Devices += len(sh.devices)
-			res.SlotsClosed += slots
-			res.Replans += replans
-		})
+	var totals flushTotals
+	for i := 0; i < d.tab.Len(); i++ {
+		st := d.tab.Stripe(i)
+		order := st.Lock().sorted()
+		st.Unlock()
+		for _, dev := range order {
+			st.Lock()
+			if !dev.removed {
+				replanned, tickErr := d.flushDevice(ctx, dev)
+				totals.count(replanned, tickErr)
+			}
+			st.Unlock()
+		}
 	}
-	span.SetAttr("devices", res.Devices)
-	span.SetAttr("replans", res.Replans)
+	span.SetAttr("totals", totals)
 	span.End()
+	d.slotsTotal.Add(uint64(totals.SlotsClosed))
 	d.flushes.Add(1)
 	d.flushHist.Observe("ok", time.Since(start).Seconds())
 	d.traceMu.Lock()
 	d.lastSpans = rec.Trace.Tree()
 	d.lastFlush = start
 	d.traceMu.Unlock()
-	return res, nil
+	return totals.FlushResult, nil
 }
 
-// flush closes one slot for every device in the shard, in device-id
-// order for deterministic span trees.
-func (sh *shard) flush(ctx context.Context) (slots, replans int) {
-	if len(sh.devices) == 0 {
-		return 0, 0
+// flushTotals is a flush pass's tally and its ingest.flush span's one
+// attribute, boxed as a single value so the span costs the same number
+// of allocations at any fleet size.
+type flushTotals struct {
+	FlushResult
+	TickErrors int `json:"tickErrors"`
+}
+
+// count tallies one closed device window.
+func (t *flushTotals) count(replanned, tickErr bool) {
+	t.Devices++
+	t.SlotsClosed++
+	if replanned {
+		t.Replans++
 	}
-	ids := make([]string, 0, len(sh.devices))
-	for id := range sh.devices {
-		ids = append(ids, id)
+	if tickErr {
+		t.TickErrors++
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		slots++
-		if sh.flushDevice(ctx, sh.devices[id]) {
-			replans++
-		}
-	}
-	return slots, replans
 }
 
 func clampPower(w float64) float64 {
@@ -687,9 +714,11 @@ func clampPower(w float64) float64 {
 }
 
 // flushDevice closes the device's window into one observed slot and
-// runs the divergence state machine. Reports whether a replan fired.
-func (sh *shard) flushDevice(ctx context.Context, dev *device) bool {
-	cfg := &sh.d.cfg
+// runs the divergence state machine. It reports whether a replan
+// fired and whether the bridge failed. The caller holds the device's
+// stripe.
+func (d *Daemon) flushDevice(ctx context.Context, dev *device) (replanned, tickErr bool) {
+	cfg := &d.cfg
 	usageW := clampPower(dev.events * cfg.EventEnergyJ / dev.step)
 	chargeW := dev.gaugeLevel // carry-forward when the window was silent
 	if dev.gaugeCount > 0 {
@@ -701,7 +730,6 @@ func (sh *shard) flushDevice(ctx context.Context, dev *device) bool {
 	dev.gaugeCount = 0
 	dev.obsUsage[dev.slot] = usageW
 	dev.obsCharging[dev.slot] = chargeW
-	sh.d.slotsTotal.Add(1)
 
 	if cfg.Replanner != nil {
 		err := cfg.Replanner.Tick(ctx, dev.id, SlotObservation{
@@ -710,7 +738,8 @@ func (sh *shard) flushDevice(ctx context.Context, dev *device) bool {
 			SuppliedJ: chargeW * dev.step,
 		})
 		if err != nil {
-			sh.d.tickErrors.Add(1)
+			tickErr = true
+			d.tickErrors.Add(1)
 			if cfg.Log != nil {
 				cfg.Log.Event("ingest_tick_error",
 					obs.F("device", dev.id),
@@ -747,17 +776,17 @@ func (sh *shard) flushDevice(ctx context.Context, dev *device) bool {
 
 	dev.slot++
 	if dev.slot < dev.slots {
-		return false
+		return false, tickErr
 	}
 	dev.slot = 0
 	dev.periods++
-	return sh.wrapPeriod(ctx, dev)
+	return d.wrapPeriod(ctx, dev), tickErr
 }
 
 // wrapPeriod feeds the completed observed period into the predictors
 // and, when a replan is pending and forecasts exist, fires it.
-func (sh *shard) wrapPeriod(ctx context.Context, dev *device) bool {
-	cfg := &sh.d.cfg
+func (d *Daemon) wrapPeriod(ctx context.Context, dev *device) bool {
+	cfg := &d.cfg
 	fctx, fspan := obs.StartSpan(ctx, "ingest.forecast")
 	fspan.SetAttr("device", dev.id)
 	fspan.SetAttr("period", dev.periods)
@@ -803,7 +832,7 @@ func (sh *shard) wrapPeriod(ctx context.Context, dev *device) bool {
 	if err != nil {
 		// Keep pending: the next period wrap retries with a fresher
 		// forecast.
-		sh.d.tickErrors.Add(1)
+		d.tickErrors.Add(1)
 		if cfg.Log != nil {
 			cfg.Log.Event("ingest_replan_error",
 				obs.F("device", dev.id),
@@ -816,7 +845,7 @@ func (sh *shard) wrapPeriod(ctx context.Context, dev *device) bool {
 	dev.pending = false
 	dev.breachStreak = 0
 	dev.replans++
-	sh.d.replans.Add(1)
+	d.replans.Add(1)
 	if cfg.Log != nil {
 		cfg.Log.Event("ingest_replan",
 			obs.F("device", dev.id),
@@ -841,7 +870,7 @@ type Stats struct {
 	Devices        int               `json:"devices"`
 }
 
-// Stats snapshots the counters (lock-free; shard state untouched).
+// Stats snapshots the counters (lock-free; device state untouched).
 func (d *Daemon) Stats() Stats {
 	drops := make(map[string]uint64, len(DropReasons))
 	for i, r := range DropReasons {
@@ -882,26 +911,24 @@ func (d *Daemon) DeviceStatuses() []DeviceStatus {
 		return nil
 	}
 	var out []DeviceStatus
-	for _, sh := range d.shards {
-		sh.do(func(sh *shard) {
-			for _, dev := range sh.devices {
-				ds := DeviceStatus{
-					DeviceID:      dev.id,
-					Slot:          dev.slot,
-					Periods:       dev.periods,
-					Divergence:    dev.divergence,
-					BreachStreak:  dev.breachStreak,
-					PendingReplan: dev.pending,
-					Replans:       dev.replans,
-				}
-				if dev.forecastUsage != nil {
-					ds.ForecastUsage = append([]float64(nil), dev.forecastUsage.Values...)
-					ds.ForecastCharging = append([]float64(nil), dev.forecastCharging.Values...)
-				}
-				out = append(out, ds)
+	d.tab.Each(func(sh *shard) {
+		for _, dev := range sh.devices {
+			ds := DeviceStatus{
+				DeviceID:      dev.id,
+				Slot:          dev.slot,
+				Periods:       dev.periods,
+				Divergence:    dev.divergence,
+				BreachStreak:  dev.breachStreak,
+				PendingReplan: dev.pending,
+				Replans:       dev.replans,
 			}
-		})
-	}
+			if dev.forecastUsage != nil {
+				ds.ForecastUsage = append([]float64(nil), dev.forecastUsage.Values...)
+				ds.ForecastCharging = append([]float64(nil), dev.forecastCharging.Values...)
+			}
+			out = append(out, ds)
+		}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].DeviceID < out[j].DeviceID })
 	return out
 }

@@ -296,6 +296,60 @@ func TestTrackValidationAndCap(t *testing.T) {
 	}
 }
 
+func TestOnlyReaderAndTimerGoroutines(t *testing.T) {
+	// Samples, tracking and flushes run in their callers' goroutines:
+	// an unstarted daemon has none of its own, and Start adds exactly
+	// the UDP reader and the flush timer.
+	expect := func(want int) {
+		t.Helper()
+		// Goroutines of daemons other tests closed may still be
+		// returning; they only ever go away.
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			got := daemonGoroutines()
+			if got == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d daemon goroutines, want %d", got, want)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	d, err := New(Config{Addr: "127.0.0.1:0", FlushInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	g := schedule.NewGrid(4.8, flat(2, 1))
+	if err := d.Track("g", g, g); err != nil {
+		t.Fatal(err)
+	}
+	d.Inject([]byte("g.events:1|c"))
+	if _, err := d.FlushNow(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	expect(0)
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	expect(2)
+}
+
+// daemonGoroutines counts the goroutines, other than the caller,
+// running a Daemon method.
+func daemonGoroutines() int {
+	buf := make([]byte, 1<<20)
+	stacks := strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n")
+	n := 0
+	for _, st := range stacks[1:] {
+		if strings.Contains(st, "ingest.(*Daemon).") {
+			n++
+		}
+	}
+	return n
+}
+
 func TestUDPIngestAndCleanShutdown(t *testing.T) {
 	// The daemon must drain real UDP datagrams and leave no goroutines
 	// behind after Close — the leak check the CI smoke repeats against
@@ -338,6 +392,113 @@ func TestUDPIngestAndCleanShutdown(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("goroutines %d before, %d after Close", before, after)
+	}
+}
+
+func TestFlushDrainsSocketFirst(t *testing.T) {
+	// Samples apply inline, so only the drain orders a flush after the
+	// datagrams the socket already holds: with the reader stalled on the
+	// device's stripe while they queue, the flush must still close a
+	// window holding every one of them.
+	rp := &stubReplanner{}
+	d, err := New(Config{Addr: "127.0.0.1:0", Replanner: rp, EventEnergyJ: 4.8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	g := schedule.NewGrid(4.8, flat(2, 1))
+	if err := d.Track("u", g, g); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("udp", d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	st := d.tab.For("u")
+	st.Lock()
+	const sent = 20
+	for i := 0; i < sent; i++ {
+		if _, err := conn.Write([]byte("u.events:1|c")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushed := make(chan error, 1)
+	go func() {
+		_, err := d.FlushNow(context.Background())
+		flushed <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	st.Unlock()
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	rp.mu.Lock()
+	defer rp.mu.Unlock()
+	if len(rp.ticks) != 1 || rp.ticks[0].UsedJ != sent*4.8 {
+		t.Fatalf("flush closed %+v, want one window of %d events (%g J)", rp.ticks, sent, sent*4.8)
+	}
+}
+
+func TestTrackUntrackDuringFlush(t *testing.T) {
+	// Devices come, go and change geometry while flushes walk the
+	// stripes with the lock taken per device: a flush closes only the
+	// devices still tracked when it reaches them, and the counters
+	// agree with the flush results.
+	d, err := New(Config{Replanner: &stubReplanner{}, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	g2, g3 := schedule.NewGrid(4.8, flat(2, 1)), schedule.NewGrid(4.8, flat(3, 1))
+	stop := make(chan struct{})
+	churned := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				churned <- nil
+				return
+			default:
+			}
+			id := fmt.Sprintf("churn-%d", i%8)
+			g := g2
+			if i%3 == 0 {
+				g = g3
+			}
+			if i%5 == 4 {
+				d.Untrack(id)
+			} else if err := d.Track(id, g, g); err != nil {
+				churned <- err
+				return
+			}
+			d.Inject([]byte(id + ".events:1|c"))
+		}
+	}()
+	var slots uint64
+	for k := 0; k < 200; k++ {
+		res, err := d.FlushNow(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Devices > 8 || res.SlotsClosed != res.Devices {
+			t.Fatalf("flush %d closed %d slots of %d devices", k, res.SlotsClosed, res.Devices)
+		}
+		slots += uint64(res.SlotsClosed)
+	}
+	close(stop)
+	if err := <-churned; err != nil {
+		t.Fatal(err)
+	}
+	st := d.Stats()
+	if st.SlotsClosed != slots {
+		t.Errorf("slots closed %d, flush results sum to %d", st.SlotsClosed, slots)
+	}
+	if n := len(d.DeviceStatuses()); n != st.Devices {
+		t.Errorf("%d device statuses, device gauge %d", n, st.Devices)
 	}
 }
 

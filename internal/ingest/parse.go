@@ -64,8 +64,12 @@ const (
 	// registered fleet session — counted at routing, not parse time,
 	// and the cardinality guard against name-flooding.
 	DropUntracked = "untracked"
-	// DropBackpressure is a sample discarded because its shard's
-	// queue was full — load-shedding, never blocking the reader.
+	// DropBackpressure is retired and always reads 0. It counted
+	// samples shed when a shard goroutine's queue was full; samples
+	// now apply inline under their stripe lock, so nothing queues and
+	// nothing is shed. It stays in DropReasons so the exposition keeps
+	// its series and dashboards and reconcilers that read it still
+	// work.
 	DropBackpressure = "backpressure"
 	// DropCardinality is a tracked-device slot refused because the
 	// daemon is at its MaxDevices cap.
@@ -98,11 +102,22 @@ type Sample struct {
 // otherwise the sample is zero and reason names the drop counter to
 // bump. The input slice is never retained.
 func ParseLine(line []byte) (Sample, string) {
+	s, device, reason := parseLine(line)
+	if reason == "" {
+		s.Device = string(device)
+	}
+	return s, reason
+}
+
+// parseLine is ParseLine without the device-id copy: the id comes back
+// as a subslice of line and Sample.Device stays empty, so the daemon
+// routes and looks the device up without allocating.
+func parseLine(line []byte) (Sample, []byte, string) {
 	if len(line) == 0 {
-		return Sample{}, DropEmpty
+		return Sample{}, nil, DropEmpty
 	}
 	if len(line) > MaxLineBytes {
-		return Sample{}, DropOversize
+		return Sample{}, nil, DropOversize
 	}
 	colon := -1
 	for i := 0; i < len(line); i++ {
@@ -112,7 +127,7 @@ func ParseLine(line []byte) (Sample, string) {
 		}
 	}
 	if colon <= 0 {
-		return Sample{}, DropMalformed
+		return Sample{}, nil, DropMalformed
 	}
 	name := line[:colon]
 	rest := line[colon+1:]
@@ -124,7 +139,7 @@ func ParseLine(line []byte) (Sample, string) {
 		}
 	}
 	if pipe <= 0 {
-		return Sample{}, DropMalformed
+		return Sample{}, nil, DropMalformed
 	}
 	valueText := rest[:pipe]
 	typeText := rest[pipe+1:]
@@ -135,11 +150,11 @@ func ParseLine(line []byte) (Sample, string) {
 		tail := typeText[i+1:]
 		typeText = typeText[:i]
 		if len(tail) < 2 || tail[0] != '@' {
-			return Sample{}, DropRate
+			return Sample{}, nil, DropRate
 		}
 		r, err := strconv.ParseFloat(string(tail[1:]), 64)
 		if err != nil || math.IsNaN(r) || r <= 0 || r > 1 {
-			return Sample{}, DropRate
+			return Sample{}, nil, DropRate
 		}
 		rate = r
 	}
@@ -151,7 +166,7 @@ func ParseLine(line []byte) (Sample, string) {
 	case len(typeText) == 1 && typeText[0] == 'g':
 		kind = KindGauge
 	default:
-		return Sample{}, DropType
+		return Sample{}, nil, DropType
 	}
 
 	// Split <device>.<field> on the LAST dot so device ids may
@@ -164,27 +179,27 @@ func ParseLine(line []byte) (Sample, string) {
 		}
 	}
 	if dot <= 0 || dot == len(name)-1 {
-		return Sample{}, DropName
+		return Sample{}, nil, DropName
 	}
 	device, field := name[:dot], name[dot+1:]
 	switch string(field) {
 	case FieldEvents:
 		if kind != KindCounter {
-			return Sample{}, DropType
+			return Sample{}, nil, DropType
 		}
 	case FieldCharge:
 		if kind != KindGauge {
-			return Sample{}, DropType
+			return Sample{}, nil, DropType
 		}
 	default:
-		return Sample{}, DropName
+		return Sample{}, nil, DropName
 	}
 	for i := 0; i < len(device); i++ {
 		// Printable ASCII without protocol delimiters; anything else
 		// (control bytes, UTF-8 confusables, embedded ':'/'|') drops.
 		c := device[i]
 		if c <= ' ' || c >= 0x7f || c == ':' || c == '|' {
-			return Sample{}, DropName
+			return Sample{}, nil, DropName
 		}
 	}
 
@@ -194,15 +209,15 @@ func ParseLine(line []byte) (Sample, string) {
 	}
 	v, err := strconv.ParseFloat(string(valueText), 64)
 	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		return Sample{}, DropValue
+		return Sample{}, nil, DropValue
 	}
 	if kind == KindCounter {
 		if v < 0 {
-			return Sample{}, DropValue
+			return Sample{}, nil, DropValue
 		}
 		v /= rate
 	}
-	return Sample{Device: string(device), Kind: kind, Value: v, Delta: delta}, ""
+	return Sample{Kind: kind, Value: v, Delta: delta}, device, ""
 }
 
 func indexByte(b []byte, c byte) int {

@@ -181,9 +181,10 @@ func (s *Server) Fleet() *fleet.Manager { return s.fleet }
 
 // handleFleetRegister creates one device's session: validate the
 // scenario exactly as /v1/replan would, build the live manager, and
-// install it in the device's partition. A parked checkpoint (idle
-// eviction) is resumed automatically; an explicit one that fails
-// validation is a structured 400 before any session state changes.
+// install it in the device's stripe of the session table. A parked
+// checkpoint (idle eviction) is resumed automatically; an explicit one
+// that fails validation is a structured 400 before any session state
+// changes.
 func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 	var req FleetRegisterRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -207,7 +208,7 @@ func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 		s.fleetFail(w, r, err)
 		return
 	}
-	s.ingestTrack(&req, pcfg, pol, res)
+	s.ingestTrack(&req, pcfg, pol)
 	body, err := marshalBody(&FleetRegisterResponse{
 		DeviceID: req.DeviceID,
 		Slot:     res.Slot,
@@ -255,7 +256,7 @@ func (s *Server) tickBody(r *http.Request, req *FleetTickRequest) ([]byte, error
 }
 
 // handleFleetTick applies one device's slot reports inside its
-// session partition and returns the delta replan.
+// session and returns the delta replan.
 func (s *Server) handleFleetTick(w http.ResponseWriter, r *http.Request) {
 	var req FleetTickRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -276,8 +277,8 @@ func (s *Server) handleFleetTick(w http.ResponseWriter, r *http.Request) {
 
 // handleFleetBulkTick ticks N devices in one call. Every item runs
 // the exact /v1/fleet/tick flow, fanned across at most the worker
-// pool's parallelism (ticks for different devices run concurrently in
-// their partitions; same-device items serialize in partition order),
+// pool's parallelism (ticks for different devices run concurrently
+// under their stripe locks; same-device items serialize on theirs),
 // and failures are reported per item so one unknown device does not
 // void the rest of the batch.
 func (s *Server) handleFleetBulkTick(w http.ResponseWriter, r *http.Request) {
@@ -367,8 +368,7 @@ func (s *Server) FleetStats() fleet.Stats { return s.fleet.Stats() }
 //   - dpmd_fleet_registrations_total / resumed / replaced / rejected
 //   - dpmd_fleet_ticks_total / slot_reports / replans / replays
 //   - dpmd_fleet_evictions_total / parked_drops / drains / drained_sessions
-//   - dpmd_fleet_partition_sessions{partition}          gauge
-//   - dpmd_fleet_partition_depth{partition}             gauge (queued commands)
+//   - dpmd_fleet_partition_sessions{partition}          gauge (per stripe)
 func (s *Server) writeFleetProm(w io.Writer) error {
 	st := s.fleet.Stats()
 	for _, g := range []struct {
@@ -405,23 +405,13 @@ func (s *Server) writeFleetProm(w io.Writer) error {
 			return err
 		}
 	}
-	parts := s.fleet.PartitionStats()
-	for _, g := range []struct {
-		name, help string
-		value      func(fleet.PartitionStats) int
-	}{
-		{"dpmd_fleet_partition_sessions", "Live sessions by partition.",
-			func(ps fleet.PartitionStats) int { return ps.Sessions }},
-		{"dpmd_fleet_partition_depth", "Commands queued for the partition event loop.",
-			func(ps fleet.PartitionStats) int { return ps.Depth }},
-	} {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", g.name, g.help, g.name); err != nil {
+	const sessions = "dpmd_fleet_partition_sessions"
+	if _, err := fmt.Fprintf(w, "# HELP %s Live sessions by session-table stripe.\n# TYPE %s gauge\n", sessions, sessions); err != nil {
+		return err
+	}
+	for i, ps := range s.fleet.PartitionStats() {
+		if _, err := fmt.Fprintf(w, "%s{partition=%q} %d\n", sessions, strconv.Itoa(i), ps.Sessions); err != nil {
 			return err
-		}
-		for i, ps := range parts {
-			if _, err := fmt.Fprintf(w, "%s{partition=%q} %d\n", g.name, strconv.Itoa(i), g.value(ps)); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -329,13 +329,16 @@ func TestFleetMetrics(t *testing.T) {
 		"dpmd_fleet_ticks_total 1",
 		"dpmd_fleet_slot_reports_total 1",
 		"dpmd_fleet_partition_sessions{partition=",
-		"dpmd_fleet_partition_depth{partition=",
 		"dpmd_fleet_sessions_parked 0",
 		"dpmd_fleet_evictions_total 0",
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	// The session table has no queue, so no depth family.
+	if strings.Contains(page, "dpmd_fleet_partition_depth") {
+		t.Error("/metrics still renders dpmd_fleet_partition_depth")
 	}
 	// The fleet endpoints are primed into the admission snapshot before
 	// any traffic reaches them.

@@ -33,16 +33,17 @@ import (
 
 // ingestRegistration is what the bridge needs to rebuild a device's
 // session around new forecasts: the planning environment from its
-// /v1/fleet/register, plus the session's last known charge.
+// /v1/fleet/register.
 type ingestRegistration struct {
 	scenario trace.Scenario
 	params   params.Config
 	policy   dpm.RedistributePolicy
 	planner  string
-	chargeJ  float64
 }
 
-// ingestState is the server's half of the telemetry loop.
+// ingestState is the server's half of the telemetry loop. mu is last
+// in the lock order (ingest stripe → fleet stripe → mu): it is taken
+// with either stripe held or with none, never the other way round.
 type ingestState struct {
 	daemon *ingest.Daemon
 
@@ -63,71 +64,52 @@ func (st *ingestState) store(deviceID string, r ingestRegistration) {
 	st.reg[deviceID] = r
 }
 
-func (st *ingestState) setCharge(deviceID string, chargeJ float64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if r, ok := st.reg[deviceID]; ok {
-		r.chargeJ = chargeJ
-		st.reg[deviceID] = r
-	}
-}
-
 func (st *ingestState) remove(deviceID string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	delete(st.reg, deviceID)
 }
 
-// fleetBridge implements ingest.Replanner on the fleet manager.
+// fleetBridge implements ingest.Replanner on the fleet manager. The
+// daemon calls it with the device's ingest stripe held.
 type fleetBridge struct{ s *Server }
 
-// Tick streams one closed flush window into the device's session as a
-// completed-slot report — the same Algorithm 3 path /v1/fleet/tick
-// drives, minus the HTTP envelope.
-func (b *fleetBridge) Tick(ctx context.Context, deviceID string, o ingest.SlotObservation) error {
-	res, err := b.s.fleet.Tick(ctx, fleet.TickSpec{
-		DeviceID: deviceID,
-		Reports:  []pipeline.SlotReport{{UsedJ: o.UsedJ, SuppliedJ: o.SuppliedJ}},
-	})
-	if err != nil {
-		return err
-	}
-	b.s.ingest.setCharge(deviceID, res.ChargeJ)
-	return nil
+// Tick applies one closed flush window to the device's session as a
+// completed-slot report — the inner Algorithm 3 step of
+// /v1/fleet/tick, without the plan copy or the per-device spans.
+func (b *fleetBridge) Tick(_ context.Context, deviceID string, o ingest.SlotObservation) error {
+	_, err := b.s.fleet.Observe(deviceID, pipeline.SlotReport{UsedJ: o.UsedJ, SuppliedJ: o.SuppliedJ})
+	return err
 }
 
 // Replan rebuilds the device's session from the live forecasts: a
 // fresh register (no checkpoint, so a live session is displaced with
 // a new plan) keeping the device's hardware, policy, planner, battery
 // band and weight, with the forecast grids as the planning inputs and
-// the session's last charge carried over.
+// the session's current charge carried over.
 func (b *fleetBridge) Replan(ctx context.Context, deviceID string, usage, charging *schedule.Grid) error {
 	reg, ok := b.s.ingest.lookup(deviceID)
+	if !ok {
+		return fleet.ErrUnknownDevice
+	}
+	chargeJ, ok := b.s.fleet.Charge(deviceID)
 	if !ok {
 		return fleet.ErrUnknownDevice
 	}
 	sc := reg.scenario
 	sc.Usage = usage
 	sc.Charging = charging
-	sc.InitialCharge = reg.chargeJ
-	if sc.InitialCharge < sc.CapacityMin {
-		sc.InitialCharge = sc.CapacityMin
-	}
-	if sc.InitialCharge > sc.CapacityMax {
-		sc.InitialCharge = sc.CapacityMax
-	}
-	res, err := b.s.fleet.Register(ctx, fleet.RegisterSpec{
+	sc.InitialCharge = min(max(chargeJ, sc.CapacityMin), sc.CapacityMax)
+	if _, err := b.s.fleet.Register(ctx, fleet.RegisterSpec{
 		DeviceID: deviceID,
 		Scenario: sc,
 		Params:   reg.params,
 		Policy:   reg.policy,
 		Planner:  reg.planner,
-	})
-	if err != nil {
+	}); err != nil {
 		return err
 	}
 	reg.scenario = sc
-	reg.chargeJ = res.ChargeJ
 	b.s.ingest.store(deviceID, reg)
 	return nil
 }
@@ -154,9 +136,9 @@ func newIngest(s *Server) (*ingestState, error) {
 // ingestTrack hooks a successful /v1/fleet/register into the
 // ingestion loop: remember the planning environment for replans and
 // start aggregating the device's telemetry against its planned grids.
-// Never called holding ingestState.mu — Track round-trips through the
-// device's shard goroutine, which may itself be inside the bridge.
-func (s *Server) ingestTrack(req *FleetRegisterRequest, pcfg params.Config, pol dpm.RedistributePolicy, res fleet.RegisterResult) {
+// It holds no lock across the two steps: Track takes the device's
+// ingest stripe, which sits before ingestState.mu in the lock order.
+func (s *Server) ingestTrack(req *FleetRegisterRequest, pcfg params.Config, pol dpm.RedistributePolicy) {
 	if s.ingest == nil {
 		return
 	}
@@ -165,7 +147,6 @@ func (s *Server) ingestTrack(req *FleetRegisterRequest, pcfg params.Config, pol 
 		params:   pcfg,
 		policy:   pol,
 		planner:  req.Planner,
-		chargeJ:  res.ChargeJ,
 	})
 	// The scenario passed validation, so the grids are well-formed;
 	// a Track refusal (device cap) still leaves the fleet session

@@ -102,8 +102,8 @@ type Config struct {
 	// chaos middleware (internal/chaostest.Middleware) and embedder
 	// instrumentation attach to.
 	Wrap func(http.Handler) http.Handler
-	// FleetPartitions is the fleet session partition count, rounded up
-	// to a power of two. 0 picks fleet.DefaultPartitions().
+	// FleetPartitions is the fleet session table's stripe count,
+	// rounded up to a power of two. 0 picks fleet.DefaultPartitions().
 	FleetPartitions int
 	// FleetMaxSessions caps live fleet sessions; a register beyond the
 	// cap answers 503 with Retry-After. 0 means unlimited.
@@ -1272,9 +1272,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 	if srv == nil {
 		// Never started (handler-only embedding): there are no in-flight
-		// requests to drain, but the ingestion shards and fleet
-		// partitions may be running. The daemon stops first — its
-		// flushes call into the fleet.
+		// requests to drain, but a flush or the fleet's idle sweeper may
+		// be running. The daemon stops first — its flushes call into
+		// the fleet.
 		if s.ingest != nil {
 			s.ingest.daemon.Close()
 		}
@@ -1311,12 +1311,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			return err
 		}
 	}
-	// In-flight ticks have drained with the listener; stopping the
-	// partition goroutines last means no request ever observes a
-	// closed fleet during a graceful shutdown. Checkpoints still live
-	// here had no /v1/fleet/drain call during the grace window; they
-	// are dropped with the process, exactly like the stateless flow
-	// dropping an unsent checkpoint.
+	// In-flight ticks have drained with the listener; closing the
+	// fleet last means no request ever observes a closed fleet during
+	// a graceful shutdown. Checkpoints still live here had no
+	// /v1/fleet/drain call during the grace window; they are dropped
+	// with the process, exactly like the stateless flow dropping an
+	// unsent checkpoint.
 	closeLoops()
 	if s.cfg.AccessLog != nil {
 		s.cfg.AccessLog.Event("shutdown")
