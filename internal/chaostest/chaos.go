@@ -284,13 +284,23 @@ func Middleware(next http.Handler, cfg FaultConfig) *MiddlewareHandler {
 type MiddlewareHandler struct {
 	next http.Handler
 	in   *injector
+	off  atomic.Bool
 }
 
 // Stats snapshots the injected-fault counters.
 func (m *MiddlewareHandler) Stats() Stats { return m.in.stats() }
 
+// Disable stops injection: later requests go straight to the wrapped
+// handler and are not counted. A soak calls it once its storm is over,
+// so post-storm checks see the server rather than the injector.
+func (m *MiddlewareHandler) Disable() { m.off.Store(true) }
+
 // ServeHTTP applies the fault plan around one request.
 func (m *MiddlewareHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if m.off.Load() {
+		m.next.ServeHTTP(w, r)
+		return
+	}
 	in := m.in
 	in.requests.Add(1)
 	if in.draw(in.cfg.LatencyProb) {

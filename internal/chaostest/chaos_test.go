@@ -163,6 +163,35 @@ func TestMiddlewareInjects503AndAbort(t *testing.T) {
 	}
 }
 
+// TestMiddlewareDisable checks that a disabled middleware passes every
+// request through untouched and stops counting.
+func TestMiddlewareDisable(t *testing.T) {
+	mh := Middleware(okHandler(), FaultConfig{Seed: 5, Err503Prob: 1})
+	srv := httptest.NewServer(mh)
+	defer srv.Close()
+	get := func() int {
+		resp, err := http.Get(srv.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := get(); code != http.StatusServiceUnavailable {
+		t.Fatalf("enabled: status %d, want 503", code)
+	}
+	mh.Disable()
+	for i := 0; i < 10; i++ {
+		if code := get(); code != http.StatusOK {
+			t.Fatalf("disabled: status %d, want 200", code)
+		}
+	}
+	if st := mh.Stats(); st.Requests != 1 || st.Err503s != 1 {
+		t.Fatalf("disabled requests were counted: %+v", st)
+	}
+}
+
 // TestLeakCheckerDetectsLeak pins a goroutine past the snapshot and
 // confirms the checker flags it (on a throwaway testing.T), then
 // releases it and confirms a clean pass.

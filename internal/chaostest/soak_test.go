@@ -40,12 +40,13 @@ func TestChaosSoak(t *testing.T) {
 		workers, iters = 4, 10
 	}
 
+	var serverChaos *chaostest.MiddlewareHandler
 	srv, err := server.New(server.Config{
 		Addr:           "127.0.0.1:0",
 		PoolSize:       4,
 		RequestTimeout: 10 * time.Second,
 		Wrap: func(next http.Handler) http.Handler {
-			return chaostest.Middleware(next, chaostest.FaultConfig{
+			serverChaos = chaostest.Middleware(next, chaostest.FaultConfig{
 				Seed:        101,
 				LatencyProb: 0.10,
 				LatencyMin:  time.Millisecond,
@@ -53,6 +54,7 @@ func TestChaosSoak(t *testing.T) {
 				Err503Prob:  0.08,
 				ResetProb:   0.05,
 			})
+			return serverChaos
 		},
 	})
 	if err != nil {
@@ -150,6 +152,10 @@ func TestChaosSoak(t *testing.T) {
 		}
 		seen[d.DeviceID] = true
 	}
+
+	// The storm is over: the checks below read the server over clean
+	// connections, so server-side injection stops here.
+	serverChaos.Disable()
 
 	// The storm must not have perturbed the canonical plan bytes.
 	if got := rawPlan(t, base); !bytes.Equal(got, golden) {

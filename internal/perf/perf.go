@@ -172,8 +172,7 @@ func (w Workload) OptimalProcessors(maxN int) int {
 // tests and ablation benches can validate the §4.2 derivation
 // numerically.
 func (w Workload) MarginalPerfPerPowerFreq(n int) float64 {
-	nd := float64(n) * w.parallelDenominator(n) // = nTs + Tt − Ts
-	return w.c1() / nd
+	return w.c1() / w.marginalDenominator(n)
 }
 
 // MarginalPerfPerPowerProc returns ∂Perf/∂Power when power is spent
@@ -183,7 +182,17 @@ func (w Workload) MarginalPerfPerPowerFreq(n int) float64 {
 // The ratio Freq/Proc equals nTs/(Tt−Ts) + 1 (Eq. 14), which exceeds
 // one whenever any serial work exists — the paper's Case 1 result
 // that frequency always beats processor count below g(vmin).
+//
+// It is computed as Freq · (Tt−Ts)/(nTs + Tt − Ts) so that rounding
+// preserves that inequality: the factor is exactly 1 when Ts == 0 and
+// never above 1 otherwise, so Freq/Proc >= 1 holds in floating point
+// too.
 func (w Workload) MarginalPerfPerPowerProc(n int) float64 {
-	nd := float64(n) * w.parallelDenominator(n)
-	return w.c1() * w.ParallelTime() / (nd * nd)
+	return w.MarginalPerfPerPowerFreq(n) * (w.ParallelTime() / w.marginalDenominator(n))
+}
+
+// marginalDenominator returns nTs + Tt − Ts, summed directly so it is
+// exactly Tt − Ts when Ts == 0.
+func (w Workload) marginalDenominator(n int) float64 {
+	return float64(n)*w.SerialTime + w.ParallelTime()
 }
