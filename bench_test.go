@@ -516,9 +516,10 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 }
 
 // BenchmarkPlanCold measures the same round trip when every request
-// misses — each iteration carries a distinct scenario name, so the
-// full Algorithm 1 computation runs every time. The gap against
-// BenchmarkPlanCacheHit is what the cache buys.
+// misses — each iteration carries a distinct battery ceiling, so the
+// full Algorithm 1 computation runs every time. (The cache key ignores
+// the scenario name, so distinct names alone would all hit.) The gap
+// against BenchmarkPlanCacheHit is what the cache buys.
 func BenchmarkPlanCold(b *testing.B) {
 	srv, err := server.New(server.Config{CacheEntries: 16})
 	if err != nil {
@@ -529,6 +530,8 @@ func BenchmarkPlanCold(b *testing.B) {
 	for i := range bodies {
 		s := trace.ScenarioI()
 		s.Name = fmt.Sprintf("cold-%d", i)
+		// Distinct planning input → distinct cache key.
+		s.CapacityMax += float64(i) * 1e-3
 		body, err := json.Marshal(server.PlanRequest{Scenario: s})
 		if err != nil {
 			b.Fatal(err)

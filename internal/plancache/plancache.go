@@ -1,10 +1,11 @@
 // Package plancache is a concurrency-safe LRU cache for computed
 // power plans. Many nodes of a fleet share hardware configurations
 // and charging forecasts, so the planning service (internal/server)
-// keys each scenario by a canonical hash of everything Algorithm 1/2
+// keys each request by a canonical hash of everything Algorithm 1/2
 // consumes — battery band, parameter table, schedules, τ — and serves
 // repeated requests from the cache instead of re-running the
-// allocation pipeline.
+// allocation pipeline. Keys are opaque strings: /v1/plan hashes the
+// request's canonical binary form itself, and /v1/params uses Key.
 //
 // The cache is generic over the stored value. A clone function,
 // supplied at construction, is applied on every Put and Get so a
@@ -244,11 +245,13 @@ func (c *Cache[V]) Stats() Stats {
 	}
 }
 
-// Key derives the canonical cache key for a scenario: the hex SHA-256
-// of the JSON encoding of parts, in order. encoding/json emits struct
-// fields in declaration order and map keys sorted, so two requests
-// that decode to the same planning inputs — whatever their original
-// field order or whitespace — hash identically.
+// Key derives a canonical cache key for any JSON-encodable value: the
+// hex SHA-256 of the JSON encoding of parts, in order. encoding/json
+// emits struct fields in declaration order and map keys sorted, so two
+// requests that decode to the same inputs — whatever their original
+// field order or whitespace — hash identically. The service keys
+// /v1/params with it; /v1/plan hashes the request's canonical binary
+// form instead, which needs no JSON encoding.
 func Key(parts ...any) (string, error) {
 	h := sha256.New()
 	enc := json.NewEncoder(h)

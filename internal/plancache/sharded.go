@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+
+	"dpm/internal/stripe"
 )
 
 // Sharded is a plan cache split across N independent power-of-two
@@ -80,20 +82,12 @@ func NewSharded[V any](capacity, shards int, clone func(V) V) (*Sharded[V], erro
 	return s, nil
 }
 
-// shardFor routes a key to its shard by FNV-1a hash. Keys are
-// already uniform hex SHA-256 digests in practice, but hashing keeps
-// routing balanced for arbitrary key strings too.
+// shardFor routes a key to its shard by stripe.Hash, the FNV-1a hash
+// dpmd's lock-striped tables route with. The service's keys are already
+// uniform SHA-256 digests, but hashing keeps routing balanced for
+// arbitrary key strings too.
 func (s *Sharded[V]) shardFor(key string) *Cache[V] {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return s.shards[h&s.mask]
+	return s.shards[stripe.Hash(key)&s.mask]
 }
 
 // ShardCount returns the number of shards.

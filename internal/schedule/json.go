@@ -24,13 +24,25 @@ func (g *Grid) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return fmt.Errorf("schedule: decoding grid: %w", err)
 	}
-	if w.Step <= 0 {
-		return fmt.Errorf("schedule: grid step %g must be positive", w.Step)
-	}
-	if len(w.Values) == 0 {
-		return fmt.Errorf("schedule: grid has no slots")
+	if err := ValidateWire(w.Step, len(w.Values)); err != nil {
+		return err
 	}
 	g.Step = w.Step
 	g.Values = w.Values
+	return nil
+}
+
+// ValidateWire applies the checks UnmarshalJSON makes on a decoded
+// wire grid, in the same order and with the same errors: a positive
+// step, then at least one slot. One-pass decoders of enclosing wire
+// forms call it so their grids reject exactly what UnmarshalJSON
+// rejects.
+func ValidateWire(step float64, slots int) error {
+	if step <= 0 {
+		return fmt.Errorf("schedule: grid step %g must be positive", step)
+	}
+	if slots == 0 {
+		return fmt.Errorf("schedule: grid has no slots")
+	}
 	return nil
 }

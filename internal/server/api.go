@@ -332,6 +332,137 @@ func decodeJSON(r *http.Request, dst any) error {
 	return nil
 }
 
+// planRequestWire is PlanRequest's JSON form built from plain structs
+// at every level. trace.Scenario and schedule.Grid decode through
+// UnmarshalJSON methods that each re-parse their sub-object, so the
+// nested decode scans every float array several times; these structs
+// let encoding/json decode a /v1/plan or /v1/batch body in one pass,
+// and request() then applies the checks those methods would have.
+//
+// Scenario is a pointer to a pointer so one pass can tell an absent
+// key from a null one: an absent key leaves the outer pointer as the
+// caller set it, and a null sets it to nil. Only decodePlanJSON sets
+// it; in a batch item both cases read as absent.
+//
+// A key given twice merges: a second "scenario" or grid object decodes
+// into the first, where the nested decode replaced it whole.
+type planRequestWire struct {
+	Scenario      **scenarioWire `json:"scenario"`
+	Strategy      string         `json:"strategy"`
+	Planner       string         `json:"planner"`
+	MaxIterations int            `json:"maxIterations"`
+	Margin        float64        `json:"margin"`
+}
+
+// scenarioWire mirrors trace.Scenario's JSON form.
+type scenarioWire struct {
+	Name          string    `json:"name"`
+	Charging      *gridWire `json:"charging"`
+	Usage         *gridWire `json:"usage"`
+	Weight        *gridWire `json:"weight"`
+	CapacityMax   float64   `json:"capacityMax"`
+	CapacityMin   float64   `json:"capacityMin"`
+	InitialCharge float64   `json:"initialCharge"`
+}
+
+// gridWire has schedule.Grid's layout without its UnmarshalJSON, so a
+// decoded grid converts to *schedule.Grid without a copy.
+type gridWire struct {
+	Step   float64   `json:"step"`
+	Values []float64 `json:"values"`
+}
+
+// request applies what trace.Scenario.UnmarshalJSON does to a present
+// scenario: schedule.ValidateWire on each grid, then trace.NewScenario,
+// with the errors decodeJSON would have reported. An absent scenario
+// stays the zero scenario for validatePlanRequest to reject.
+func (w *planRequestWire) request() (PlanRequest, error) {
+	req := PlanRequest{
+		Strategy:      w.Strategy,
+		Planner:       w.Planner,
+		MaxIterations: w.MaxIterations,
+		Margin:        w.Margin,
+	}
+	if w.Scenario == nil || *w.Scenario == nil {
+		return req, nil
+	}
+	sw := *w.Scenario
+	for _, g := range [...]*gridWire{sw.Charging, sw.Usage, sw.Weight} {
+		if g == nil {
+			continue
+		}
+		if err := schedule.ValidateWire(g.Step, len(g.Values)); err != nil {
+			// The prefix trace.Scenario.UnmarshalJSON puts on a grid error.
+			return PlanRequest{}, badRequestf("decoding request: trace: decoding scenario: %v", err)
+		}
+	}
+	s, err := trace.NewScenario(sw.Name, (*schedule.Grid)(sw.Charging), (*schedule.Grid)(sw.Usage),
+		(*schedule.Grid)(sw.Weight), sw.CapacityMax, sw.CapacityMin, sw.InitialCharge)
+	if err != nil {
+		return PlanRequest{}, badRequestf("decoding request: %v", err)
+	}
+	req.Scenario = s
+	return req, nil
+}
+
+// decodePlanJSON decodes a /v1/plan JSON body in one pass, with the
+// statuses and error texts of decoding into PlanRequest.
+func decodePlanJSON(r *http.Request) (PlanRequest, error) {
+	var present *scenarioWire
+	w := planRequestWire{Scenario: &present}
+	if err := decodeJSON(r, &w); err != nil {
+		return PlanRequest{}, err
+	}
+	if w.Scenario == nil {
+		// trace.Scenario.UnmarshalJSON reads null as an empty object,
+		// which trace.NewScenario rejects.
+		present = new(scenarioWire)
+		w.Scenario = &present
+	}
+	return w.request()
+}
+
+// batchRequestWire is BatchRequest's JSON form.
+type batchRequestWire struct {
+	Requests []planRequestWire `json:"requests"`
+}
+
+// decodeBatchJSON decodes a /v1/batch JSON body in one pass. As with
+// the nested decode, the first item whose scenario fails its checks
+// fails the whole body.
+func decodeBatchJSON(r *http.Request) (BatchRequest, error) {
+	var w batchRequestWire
+	if err := decodeJSON(r, &w); err != nil {
+		return BatchRequest{}, err
+	}
+	req := BatchRequest{Requests: make([]PlanRequest, len(w.Requests))}
+	for i := range w.Requests {
+		var err error
+		if req.Requests[i], err = w.Requests[i].request(); err != nil {
+			return BatchRequest{}, err
+		}
+	}
+	return req, nil
+}
+
+// decodeBody decodes a /v1/plan or /v1/batch body in the encoding its
+// Content-Type declares.
+func decodeBody[T any](r *http.Request, fromBinary func([]byte) (*T, error), fromJSON func(*http.Request) (T, error)) (T, error) {
+	if !isBinaryRequest(r) {
+		return fromJSON(r)
+	}
+	var zero T
+	raw, err := readBinaryBody(r)
+	if err != nil {
+		return zero, err
+	}
+	v, err := fromBinary(raw)
+	if err != nil {
+		return zero, badRequest{err}
+	}
+	return *v, nil
+}
+
 // readBinaryBody reads the (already size-limited) request body for a
 // binary-codec decode, mapping an oversized body to the same 413 the
 // JSON path produces.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,7 +10,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"dpm/internal/plancache"
 	"dpm/internal/trace"
 )
 
@@ -41,26 +41,29 @@ func TestPlanGoldenParity(t *testing.T) {
 }
 
 // TestPlanCacheKeyStability pins the canonical cache keys for the two
-// paper scenarios. A change here means every node in a fleet stops
-// sharing cache entries with its differently-versioned peers — bump
-// deliberately, never by accident.
+// paper scenarios, in both response encodings. A change here means
+// every node in a fleet stops sharing cache entries with its
+// differently-versioned peers — bump deliberately, never by accident.
 func TestPlanCacheKeyStability(t *testing.T) {
-	want := map[string]string{
-		"I":  "0d3971f462e1f475c9933fd4cf023090b1287f744d592ba063285f6d07db3359",
-		"II": "0b29915f315dce79443ae0b7d469ab919c3c05ea98ea1d171cfb4113742d86e2",
+	want := map[string][2]string{
+		"I": {
+			"4aeb6b666bd1054f78c5f93ec1320b056db60605fc07fec5d0fc3552fe0aa90385",
+			"42eb6b666bd1054f78c5f93ec1320b056db60605fc07fec5d0fc3552fe0aa90385",
+		},
+		"II": {
+			"4a7cc4c87852b73a6b163ea4a1200fbe9ebd4a82a9314f3e04eaf6d9896ac7265a",
+			"427cc4c87852b73a6b163ea4a1200fbe9ebd4a82a9314f3e04eaf6d9896ac7265a",
+		},
 	}
 	for _, s := range trace.Scenarios() {
 		req := PlanRequest{Scenario: s}
 		if err := validatePlanRequest(&req); err != nil {
 			t.Fatal(err)
 		}
-		req.Scenario.Name = ""
-		key, err := plancache.Key("plan", req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if key != want[s.Name] {
-			t.Errorf("scenario %s: cache key %s, want %s", s.Name, key, want[s.Name])
+		for i, wire := range []*planWire{jsonPlan, binaryPlan} {
+			if key := hex.EncodeToString([]byte(planKey(wire.tag, &req))); key != want[s.Name][i] {
+				t.Errorf("scenario %s, tag %c: cache key %s, want %s", s.Name, wire.tag, key, want[s.Name][i])
+			}
 		}
 	}
 }

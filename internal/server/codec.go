@@ -43,9 +43,9 @@ import (
 // splice the name back by rewriting only the record prefix — the
 // exact trick the JSON path plays with withScenarioName.
 //
-// Encoding appends into pooled scratch buffers; the cache path copies
-// out once (the LRU owns its bytes) and the direct path writes the
-// scratch straight to the wire. Decoding is allocation-light: only
+// A plan body is encoded into pooled scratch and copied out once (the
+// LRU owns its bytes); a batch response is sized from its items and
+// encoded in one allocation. Decoding is allocation-light: only
 // the float columns and strings the caller keeps are allocated, and
 // every length is bounds-checked against the remaining input before
 // allocation so hostile lengths fail fast instead of sizing a make().
@@ -469,19 +469,28 @@ func AppendBinaryError(dst []byte, status int, msg string) []byte {
 	return appendString(dst, msg)
 }
 
-// binaryBatchItem is one encoded item of a binary batch response: the
-// Body bytes are a complete binary record — a plan response on
-// success, an error record otherwise — exactly as the JSON form
-// embeds the verbatim /v1/plan body.
-type binaryBatchItem struct {
+// batchItem is one encoded item of a batch response, in either
+// encoding: Body is the item's complete /v1/plan body — a plan
+// response on success, an error body otherwise.
+type batchItem struct {
 	Status int
 	Cache  string
 	Body   []byte
 }
 
+// binaryBatch assembles a binary batch response; each item's body is
+// a complete binary record.
+func binaryBatch(items []batchItem) ([]byte, error) {
+	n := 16
+	for i := range items {
+		n += len(items[i].Cache) + len(items[i].Body) + 3*binary.MaxVarintLen64
+	}
+	return appendBatchResponseBinary(make([]byte, 0, n), items), nil
+}
+
 // appendBatchResponseBinary encodes a binary batch response from
 // already-encoded item bodies.
-func appendBatchResponseBinary(dst []byte, items []binaryBatchItem) []byte {
+func appendBatchResponseBinary(dst []byte, items []batchItem) []byte {
 	dst = appendHeader(dst, binKindBatchResponse)
 	dst = appendUvarint(dst, uint64(len(items)))
 	for i := range items {

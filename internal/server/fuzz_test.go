@@ -10,6 +10,45 @@ import (
 	"dpm/internal/trace"
 )
 
+// decodePlanSeeds is FuzzDecodePlanRequest's seed corpus: hostile and
+// broken /v1/plan bodies. FuzzDecodePlanJSONParity starts from it too.
+func decodePlanSeeds() [][]byte {
+	valid, err := canonicalJSON(PlanRequest{Scenario: trace.ScenarioI()})
+	if err != nil {
+		panic(err)
+	}
+	return [][]byte{
+		valid,
+		[]byte(``),
+		[]byte(`{`),
+		[]byte(`null`),
+		[]byte(`[]`),
+		[]byte(`{"scenario":null}`),
+		// Negative and zero τ.
+		[]byte(`{"scenario":{"charging":{"step":-4.8,"values":[1]},"usage":{"step":-4.8,"values":[1]}}}`),
+		[]byte(`{"scenario":{"charging":{"step":0,"values":[1]},"usage":{"step":0,"values":[1]}}}`),
+		// NaN/Inf attempts: literal tokens and overflowing numbers.
+		[]byte(`{"scenario":{"charging":{"step":4.8,"values":[NaN]},"usage":{"step":4.8,"values":[1]}}}`),
+		[]byte(`{"scenario":{"charging":{"step":4.8,"values":[1e999]},"usage":{"step":4.8,"values":[1]}}}`),
+		[]byte(`{"scenario":{"charging":{"step":4.8,"values":["Infinity"]},"usage":{"step":4.8,"values":[1]}}}`),
+		[]byte(`{"scenario":{"charging":{"step":1e308,"values":[1e308]},"usage":{"step":1e308,"values":[1e308]},"capacityMax":1e308,"capacityMin":1}}`),
+		// Negative power and broken battery bands.
+		[]byte(`{"scenario":{"charging":{"step":4.8,"values":[-1,2]},"usage":{"step":4.8,"values":[1,1]}}}`),
+		[]byte(`{"scenario":{"charging":{"step":4.8,"values":[1,2]},"usage":{"step":4.8,"values":[1,1]},"capacityMax":1,"capacityMin":2}}`),
+		// Geometry mismatch and zero-demand balancing failure.
+		[]byte(`{"scenario":{"charging":{"step":4.8,"values":[1,2,3]},"usage":{"step":2.4,"values":[1]}}}`),
+		[]byte(`{"scenario":{"charging":{"step":4.8,"values":[1,1]},"usage":{"step":4.8,"values":[0,0]}}}`),
+		// Absurd length (over scenario.MaxSlots) and trailing garbage.
+		[]byte(`{"scenario":{"charging":{"step":4.8,"values":[` +
+			strings.Repeat("0,", scenario.MaxSlots) + `0]},"usage":{"step":4.8,"values":[1]}}}`),
+		[]byte(`{"scenario":{"charging":{"step":4.8,"values":[1]},"usage":{"step":4.8,"values":[1]}}}{"again":true}`),
+		// Out-of-range tuning knobs.
+		[]byte(`{"scenario":{"charging":{"step":4.8,"values":[1]},"usage":{"step":4.8,"values":[1]}},"margin":0.9}`),
+		[]byte(`{"scenario":{"charging":{"step":4.8,"values":[1]},"usage":{"step":4.8,"values":[1]}},"maxIterations":-3}`),
+		[]byte(`{"scenario":{"charging":{"step":4.8,"values":[1]},"usage":{"step":4.8,"values":[1]}},"strategy":"chaotic"}`),
+	}
+}
+
 // FuzzDecodePlanRequest feeds arbitrary bodies to the /v1/plan
 // handler, mirroring internal/dpm's checkpoint fuzz: whatever a
 // hostile or broken node sends — malformed JSON, NaN/Inf-shaped
@@ -17,37 +56,9 @@ import (
 // handler must answer with a structured 4xx, never a 5xx and never a
 // panic.
 func FuzzDecodePlanRequest(f *testing.F) {
-	if valid, err := canonicalJSON(PlanRequest{Scenario: trace.ScenarioI()}); err == nil {
-		f.Add(valid)
+	for _, seed := range decodePlanSeeds() {
+		f.Add(seed)
 	}
-	f.Add([]byte(``))
-	f.Add([]byte(`{`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`[]`))
-	f.Add([]byte(`{"scenario":null}`))
-	// Negative and zero τ.
-	f.Add([]byte(`{"scenario":{"charging":{"step":-4.8,"values":[1]},"usage":{"step":-4.8,"values":[1]}}}`))
-	f.Add([]byte(`{"scenario":{"charging":{"step":0,"values":[1]},"usage":{"step":0,"values":[1]}}}`))
-	// NaN/Inf attempts: literal tokens and overflowing numbers.
-	f.Add([]byte(`{"scenario":{"charging":{"step":4.8,"values":[NaN]},"usage":{"step":4.8,"values":[1]}}}`))
-	f.Add([]byte(`{"scenario":{"charging":{"step":4.8,"values":[1e999]},"usage":{"step":4.8,"values":[1]}}}`))
-	f.Add([]byte(`{"scenario":{"charging":{"step":4.8,"values":["Infinity"]},"usage":{"step":4.8,"values":[1]}}}`))
-	f.Add([]byte(`{"scenario":{"charging":{"step":1e308,"values":[1e308]},"usage":{"step":1e308,"values":[1e308]},"capacityMax":1e308,"capacityMin":1}}`))
-	// Negative power and broken battery bands.
-	f.Add([]byte(`{"scenario":{"charging":{"step":4.8,"values":[-1,2]},"usage":{"step":4.8,"values":[1,1]}}}`))
-	f.Add([]byte(`{"scenario":{"charging":{"step":4.8,"values":[1,2]},"usage":{"step":4.8,"values":[1,1]},"capacityMax":1,"capacityMin":2}}`))
-	// Geometry mismatch and zero-demand balancing failure.
-	f.Add([]byte(`{"scenario":{"charging":{"step":4.8,"values":[1,2,3]},"usage":{"step":2.4,"values":[1]}}}`))
-	f.Add([]byte(`{"scenario":{"charging":{"step":4.8,"values":[1,1]},"usage":{"step":4.8,"values":[0,0]}}}`))
-	// Absurd length (over scenario.MaxSlots) and trailing garbage.
-	f.Add([]byte(`{"scenario":{"charging":{"step":4.8,"values":[` +
-		strings.Repeat("0,", scenario.MaxSlots) + `0]},"usage":{"step":4.8,"values":[1]}}}`))
-	f.Add([]byte(`{"scenario":{"charging":{"step":4.8,"values":[1]},"usage":{"step":4.8,"values":[1]}}}{"again":true}`))
-	// Out-of-range tuning knobs.
-	f.Add([]byte(`{"scenario":{"charging":{"step":4.8,"values":[1]},"usage":{"step":4.8,"values":[1]}},"margin":0.9}`))
-	f.Add([]byte(`{"scenario":{"charging":{"step":4.8,"values":[1]},"usage":{"step":4.8,"values":[1]}},"maxIterations":-3}`))
-	f.Add([]byte(`{"scenario":{"charging":{"step":4.8,"values":[1]},"usage":{"step":4.8,"values":[1]}},"strategy":"chaotic"}`))
-
 	srv, err := New(Config{})
 	if err != nil {
 		f.Fatal(err)

@@ -19,6 +19,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -400,8 +401,8 @@ func (s *Server) endpoint(method string, pooled bool, h http.HandlerFunc) http.H
 // errorJSON renders the structured error body exactly as writeError
 // sends it, without the trailing newline — the form batch items
 // embed.
-func errorJSON(status int, msg string) json.RawMessage {
-	return json.RawMessage(fmt.Sprintf("{\"error\":%q,\"status\":%d}", msg, status))
+func errorJSON(status int, msg string) []byte {
+	return fmt.Appendf(nil, "{\"error\":%q,\"status\":%d}", msg, status)
 }
 
 // writeError emits the structured error body.
@@ -478,18 +479,16 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request, err error) {
 	writeError(w, status, msg)
 }
 
-// writeJSONBytes writes a pre-marshaled JSON body.
-func writeJSONBytes(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+// writeBytes writes a pre-encoded 200 body.
+func writeBytes(w http.ResponseWriter, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
 	w.WriteHeader(http.StatusOK)
 	w.Write(body) //nolint:errcheck
 }
 
-// writeBinaryBytes writes a pre-encoded binary-codec body.
-func writeBinaryBytes(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", BinaryContentType)
-	w.WriteHeader(http.StatusOK)
-	w.Write(body) //nolint:errcheck
+// writeJSONBytes writes a pre-marshaled JSON body.
+func writeJSONBytes(w http.ResponseWriter, body []byte) {
+	writeBytes(w, "application/json", body)
 }
 
 // marshalBody renders a response exactly as the cache stores it, so
@@ -502,16 +501,12 @@ func marshalBody(v any) ([]byte, error) {
 	return b, nil
 }
 
-// respondCached serves the computed-or-cached flow shared by the
-// plan and params endpoints: look the canonical key up, compute and
-// insert on a miss — coalescing concurrent identical misses onto one
-// computation — and tag the response with the X-Dpmd-Cache header
-// either way. decorate, when non-nil, rewrites the cached body into
-// the final wire form (e.g. splicing the request's scenario name
-// back in); it must be deterministic so hits stay byte-identical to
-// the miss that populated them. The response is never written after
-// the request's deadline has expired.
-func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, key string, decorate func([]byte) []byte, compute func(ctx context.Context) (any, error)) {
+// respondCached serves the params endpoint's computed-or-cached flow:
+// look the canonical key up, compute and insert on a miss — coalescing
+// concurrent identical misses onto one computation — and tag the
+// response with the X-Dpmd-Cache header either way. The response is
+// never written after the request's deadline has expired.
+func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, key string, compute func(ctx context.Context) (any, error)) {
 	ctx := r.Context()
 	body, served, err := s.cache.GetOrCompute(ctx, key, func() ([]byte, error) {
 		if err := ctx.Err(); err != nil {
@@ -531,15 +526,16 @@ func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, key strin
 		s.fail(w, r, err)
 		return
 	}
-	state := "miss"
-	if served {
-		state = "hit"
-	}
-	if decorate != nil {
-		body = decorate(body)
-	}
-	w.Header().Set(cacheHeader, state)
+	w.Header().Set(cacheHeader, cacheState(served))
 	writeJSONBytes(w, body)
+}
+
+// cacheState renders a lookup outcome as its X-Dpmd-Cache value.
+func cacheState(served bool) string {
+	if served {
+		return "hit"
+	}
+	return "miss"
 }
 
 // planResponse runs the pipeline for a validated, normalized plan
@@ -570,95 +566,116 @@ func planResponse(ctx context.Context, req *PlanRequest, keyScenario trace.Scena
 	}, nil
 }
 
-// planBody answers one plan request through the shared
-// validate → cache → pipeline flow: validate and normalize, look the
-// canonical key up, compute and insert on a miss (coalescing
-// concurrent identical misses onto one computation), and splice the
-// request's scenario name back into the cached, name-free body. It
-// returns the exact wire body (with trailing newline) plus the cache
-// disposition, and is shared verbatim by /v1/plan and every
-// /v1/batch item so the two are byte-identical.
-func (s *Server) planBody(ctx context.Context, req *PlanRequest) ([]byte, string, error) {
-	if err := validatePlanRequest(req); err != nil {
-		return nil, "", err
-	}
-	s.tel.planStrategy.Add(strategyLabel(req.Planner), 1)
-	keyReq := *req
-	keyReq.Scenario.Name = ""
-	key, err := plancache.Key("plan", keyReq)
-	if err != nil {
-		return nil, "", err
-	}
-	ctx, cspan := obs.StartSpan(ctx, "plan.cache")
-	defer cspan.End()
-	body, served, err := s.cache.GetOrCompute(ctx, key, func() ([]byte, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		resp, err := planResponse(ctx, req, keyReq.Scenario)
-		if err != nil {
-			return nil, err
-		}
-		return marshalBody(resp)
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	state := "miss"
-	if served {
-		state = "hit"
-	}
-	cspan.SetAttr("state", state)
-	return withScenarioName(req.Scenario.Name, body), state, nil
+// planWire is one response encoding of the plan path: the key tag that
+// keeps its cache entries apart from the other encoding's, the content
+// type, the encoder of the name-free cached body, the splice that puts
+// the request's scenario name back, the error body a failed batch item
+// carries, and the batch response assembler.
+type planWire struct {
+	tag         byte
+	contentType string
+	encode      func(*PlanResponse) ([]byte, error)
+	splice      func(name string, body []byte) []byte
+	errorBody   func(status int, msg string) []byte
+	batch       func([]batchItem) ([]byte, error)
 }
 
-// planBodyBinary is planBody for the binary wire form: the same
-// validation, normalization and pipeline computation, cached under
-// the "planb" key prefix — the cache stores wire bytes and the two
-// encodings differ, so each lives in its own keyspace. (A fleet
-// speaking both encodings for one scenario computes the plan once per
-// encoding; in practice hot clients standardize on one.) The cached
-// body is name-free and the request's scenario name is spliced into
-// the record prefix per response, mirroring the JSON path exactly.
-func (s *Server) planBodyBinary(ctx context.Context, req *PlanRequest) ([]byte, string, error) {
+var (
+	jsonPlan = &planWire{
+		tag:         'J',
+		contentType: "application/json",
+		encode:      func(resp *PlanResponse) ([]byte, error) { return marshalBody(resp) },
+		splice:      withScenarioName,
+		errorBody:   errorJSON,
+		batch:       jsonBatch,
+	}
+	binaryPlan = &planWire{
+		tag:         'B',
+		contentType: BinaryContentType,
+		encode:      encodePlanBinary,
+		splice:      withScenarioNameBinary,
+		errorBody:   func(status int, msg string) []byte { return AppendBinaryError(nil, status, msg) },
+		batch:       binaryBatch,
+	}
+)
+
+// planWireFor picks the response encoding the request negotiated.
+func planWireFor(r *http.Request) *planWire {
+	if acceptsBinary(r) {
+		return binaryPlan
+	}
+	return jsonPlan
+}
+
+// encodePlanBinary encodes a plan response through pooled scratch and
+// copies it out once: the cache owns its bytes outright, the same
+// contract as canonicalJSON.
+func encodePlanBinary(resp *PlanResponse) ([]byte, error) {
+	buf := binBufPool.Get().(*[]byte)
+	defer binBufPool.Put(buf)
+	*buf = AppendPlanResponseBinary((*buf)[:0], resp)
+	return append([]byte(nil), *buf...), nil
+}
+
+// planKey returns the plan cache key of a validated, normalized
+// request: the wire's tag byte, then the raw SHA-256 of the request's
+// canonical binary form with the name cleared. The binary form holds
+// every planning input bit for bit (FuzzBinaryCodecParity pins it as
+// lossless), so two requests share a key exactly when they ask for the
+// same plan in the same encoding, whatever wire form they arrived in.
+func planKey(tag byte, req *PlanRequest) string {
+	keyReq := *req
+	keyReq.Scenario.Name = ""
+	// -0 and 0 ask for the same plan, so they share an entry.
+	if keyReq.Margin == 0 {
+		keyReq.Margin = 0
+	}
+	buf := binBufPool.Get().(*[]byte)
+	*buf = appendPlanRequestBody((*buf)[:0], &keyReq)
+	sum := sha256.Sum256(*buf)
+	binBufPool.Put(buf)
+	var key [1 + sha256.Size]byte
+	key[0] = tag
+	copy(key[1:], sum[:])
+	return string(key[:])
+}
+
+// planBody answers one plan request through the shared
+// validate → cache → pipeline flow: validate and normalize, look the
+// key up, compute and insert on a miss (coalescing concurrent
+// identical misses onto one computation), and splice the request's
+// scenario name back into the cached, name-free body. It returns the
+// exact wire body plus the cache disposition, and is shared verbatim
+// by /v1/plan and every /v1/batch item so the two are byte-identical.
+// The cache stores wire bytes, so each encoding has its own keyspace:
+// a fleet speaking both encodings for one scenario computes the plan
+// once per encoding.
+func (s *Server) planBody(ctx context.Context, req *PlanRequest, wire *planWire) ([]byte, string, error) {
 	if err := validatePlanRequest(req); err != nil {
 		return nil, "", err
 	}
 	s.tel.planStrategy.Add(strategyLabel(req.Planner), 1)
-	keyReq := *req
-	keyReq.Scenario.Name = ""
-	key, err := plancache.Key("planb", keyReq)
-	if err != nil {
-		return nil, "", err
-	}
+	key := planKey(wire.tag, req)
 	ctx, cspan := obs.StartSpan(ctx, "plan.cache")
 	defer cspan.End()
 	body, served, err := s.cache.GetOrCompute(ctx, key, func() ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		resp, err := planResponse(ctx, req, keyReq.Scenario)
+		nameless := req.Scenario
+		nameless.Name = ""
+		resp, err := planResponse(ctx, req, nameless)
 		if err != nil {
 			return nil, err
 		}
-		buf := binBufPool.Get().(*[]byte)
-		defer binBufPool.Put(buf)
-		*buf = AppendPlanResponseBinary((*buf)[:0], resp)
-		// One exact-size copy out of the pooled scratch: the cache owns
-		// its bytes outright, same contract as canonicalJSON.
-		out := make([]byte, len(*buf))
-		copy(out, *buf)
-		return out, nil
+		return wire.encode(resp)
 	})
 	if err != nil {
 		return nil, "", err
 	}
-	state := "miss"
-	if served {
-		state = "hit"
-	}
+	state := cacheState(served)
 	cspan.SetAttr("state", state)
-	return withScenarioNameBinary(req.Scenario.Name, body), state, nil
+	return wire.splice(req.Scenario.Name, body), state, nil
 }
 
 // handlePlan runs Algorithm 1 (§4.1): WPUF → balancing → feasible
@@ -674,20 +691,8 @@ func (s *Server) planBodyBinary(ctx context.Context, req *PlanRequest) ([]byte, 
 // trace envelope (X-Dpmd-Trace) is JSON-only — a binary response
 // carries the plan record alone.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	var req PlanRequest
-	if isBinaryRequest(r) {
-		raw, err := readBinaryBody(r)
-		if err != nil {
-			s.fail(w, r, err)
-			return
-		}
-		preq, err := DecodePlanRequestBinary(raw)
-		if err != nil {
-			s.fail(w, r, badRequest{err})
-			return
-		}
-		req = *preq
-	} else if err := decodeJSON(r, &req); err != nil {
+	req, err := decodeBody(r, DecodePlanRequestBinary, decodePlanJSON)
+	if err != nil {
 		s.fail(w, r, err)
 		return
 	}
@@ -695,21 +700,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, err)
 		return
 	}
-	if acceptsBinary(r) {
-		body, state, err := s.planBodyBinary(r.Context(), &req)
-		if err != nil {
-			s.fail(w, r, err)
-			return
-		}
-		if err := r.Context().Err(); err != nil {
-			s.fail(w, r, err)
-			return
-		}
-		w.Header().Set(cacheHeader, state)
-		writeBinaryBytes(w, body)
-		return
-	}
-	body, state, err := s.planBody(r.Context(), &req)
+	wire := planWireFor(r)
+	body, state, err := s.planBody(r.Context(), &req, wire)
 	if err != nil {
 		s.fail(w, r, err)
 		return
@@ -718,12 +710,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, err)
 		return
 	}
-	if rec := obs.RecorderFrom(r.Context()); rec != nil && rec.Trace != nil {
+	if rec := obs.RecorderFrom(r.Context()); wire == jsonPlan && rec != nil && rec.Trace != nil {
 		s.writeTracedPlan(w, r, body, state, rec.Trace)
 		return
 	}
 	w.Header().Set(cacheHeader, state)
-	writeJSONBytes(w, body)
+	writeBytes(w, wire.contentType, body)
 }
 
 // writeTracedPlan answers a /v1/plan request that opted in with
@@ -753,22 +745,11 @@ func (s *Server) writeTracedPlan(w http.ResponseWriter, r *http.Request, body []
 // the exact /v1/plan flow — same validation, same plan cache, same
 // bytes — fanned across a bounded set of workers (pipeline.ForEach),
 // and failures are reported per item so one bad scenario does not
-// void the rest of the batch.
+// void the rest of the batch. A failed item embeds the error body
+// /v1/plan would have sent, in the negotiated encoding.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if isBinaryRequest(r) {
-		raw, err := readBinaryBody(r)
-		if err != nil {
-			s.fail(w, r, err)
-			return
-		}
-		breq, err := DecodeBatchRequestBinary(raw)
-		if err != nil {
-			s.fail(w, r, badRequest{err})
-			return
-		}
-		req = *breq
-	} else if err := decodeJSON(r, &req); err != nil {
+	req, err := decodeBody(r, DecodeBatchRequestBinary, decodeBatchJSON)
+	if err != nil {
 		s.fail(w, r, err)
 		return
 	}
@@ -788,65 +769,44 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	ctx := r.Context()
-	if acceptsBinary(r) {
-		s.handleBatchBinary(w, r, &req)
-		return
-	}
-	results := make([]BatchItem, len(req.Requests))
+	wire := planWireFor(r)
+	items := make([]batchItem, len(req.Requests))
 	// The batch holds one worker-pool slot; its items fan out across
 	// at most the same parallelism the pool would grant individual
 	// requests.
 	pipeline.ForEach(ctx, len(req.Requests), s.cfg.PoolSize, func(ctx context.Context, i int) {
-		body, state, err := s.planBody(ctx, &req.Requests[i])
+		body, state, err := s.planBody(ctx, &req.Requests[i], wire)
 		if err != nil {
 			status, msg := errorBody(err)
-			results[i] = BatchItem{Status: status, Body: errorJSON(status, msg)}
+			items[i] = batchItem{Status: status, Body: wire.errorBody(status, msg)}
 			return
 		}
-		results[i] = BatchItem{
-			Status: http.StatusOK,
-			Cache:  state,
-			Body:   json.RawMessage(bytes.TrimSuffix(body, []byte("\n"))),
-		}
+		items[i] = batchItem{Status: http.StatusOK, Cache: state, Body: body}
 	})
 	if err := ctx.Err(); err != nil {
 		s.fail(w, r, err)
 		return
 	}
-	body, err := marshalBody(&BatchResponse{Results: results})
+	body, err := wire.batch(items)
 	if err != nil {
 		s.fail(w, r, err)
 		return
 	}
-	writeJSONBytes(w, body)
+	writeBytes(w, wire.contentType, body)
 }
 
-// handleBatchBinary answers an already-decoded batch request in the
-// binary response form: every item runs the same planBodyBinary flow
-// as a binary /v1/plan call (same cache, same bytes), failures embed
-// a binary error record with the status and message the JSON item
-// would carry, and the assembled response is encoded through pooled
-// scratch.
-func (s *Server) handleBatchBinary(w http.ResponseWriter, r *http.Request, req *BatchRequest) {
-	ctx := r.Context()
-	results := make([]binaryBatchItem, len(req.Requests))
-	pipeline.ForEach(ctx, len(req.Requests), s.cfg.PoolSize, func(ctx context.Context, i int) {
-		body, state, err := s.planBodyBinary(ctx, &req.Requests[i])
-		if err != nil {
-			status, msg := errorBody(err)
-			results[i] = binaryBatchItem{Status: status, Body: AppendBinaryError(nil, status, msg)}
-			return
+// jsonBatch assembles a JSON batch response: each item embeds its
+// /v1/plan body verbatim, minus the trailing newline.
+func jsonBatch(items []batchItem) ([]byte, error) {
+	results := make([]BatchItem, len(items))
+	for i, it := range items {
+		results[i] = BatchItem{
+			Status: it.Status,
+			Cache:  it.Cache,
+			Body:   json.RawMessage(bytes.TrimSuffix(it.Body, []byte("\n"))),
 		}
-		results[i] = binaryBatchItem{Status: http.StatusOK, Cache: state, Body: body}
-	})
-	if err := ctx.Err(); err != nil {
-		s.fail(w, r, err)
-		return
 	}
-	buf := binBufPool.Get().(*[]byte)
-	defer binBufPool.Put(buf)
-	*buf = appendBatchResponseBinary((*buf)[:0], results)
-	writeBinaryBytes(w, *buf)
+	return marshalBody(&BatchResponse{Results: results})
 }
 
 // withScenarioName splices a scenario name into a cached, name-free
@@ -894,7 +854,7 @@ func (s *Server) handleParams(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, err)
 		return
 	}
-	s.respondCached(w, r, key, nil, func(ctx context.Context) (any, error) {
+	s.respondCached(w, r, key, func(ctx context.Context) (any, error) {
 		table, _, err := pipeline.Table(ctx, req.Hardware)
 		if err != nil {
 			return nil, err
